@@ -2,8 +2,8 @@
 //! and their statistics, the join graph of a query, placement of primary
 //! copies on servers, the client disk-cache state, the simulator parameters
 //! of the paper's Table 2, Shapiro-style join memory allocation, and
-//! epoch-stamped per-site catalog replication with bounded staleness
-//! ([`replica`]).
+//! per-site catalog drift as coordinator and replica epochs with bounded
+//! staleness ([`replica`]).
 //!
 //! This crate is purely logical — it knows nothing about events, disks or
 //! plans. Everything else (plans, cost model, engine) builds on it.
@@ -28,8 +28,5 @@ pub use memory::{hybrid_hash_plan, join_memory, HashPlan};
 pub use num::sat_u64;
 pub use placement::Catalog;
 pub use query::{JoinEdge, QuerySpec, RelSet};
-pub use replica::{
-    CatalogCoordinator, CatalogDelta, CatalogEpoch, CatalogReplica, CatalogSnapshot, DriftAction,
-    DriftEvent, ReplicaError, ReplicatedCatalog,
-};
+pub use replica::{Admission, CatalogDrift, Delivery, DriftAction, DriftEvent, DriftStats};
 pub use schema::{pages_for, try_pages_for, Relation};

@@ -1,395 +1,56 @@
-//! Per-site catalog replication with bounded staleness.
+//! Per-site catalog drift with bounded staleness.
 //!
-//! The base [`Catalog`] models the paper's single shared metadata store:
-//! every site prices plans against one perfectly fresh view. A scaled
-//! deployment cannot afford that — placements and cached-fraction state
-//! change while queries are in flight, and each serving site sees those
-//! changes only after a propagation delay. This module makes the delay
-//! explicit and bounded:
+//! The base [`Catalog`](crate::Catalog) models the paper's single shared
+//! metadata store: every site prices plans against one perfectly fresh
+//! view. §5's caution is that state assumed when a plan is compiled can
+//! be wrong by the time it runs. This module models that drift as
+//! *epochs only*: a coordinator publishes monotone epochs, each serving
+//! site holds a replica epoch that advances through a fault-injectable
+//! [`Delivery`], and every admitted query gets a verdict from the
+//! fresh / degrade / reject lattice according to how far its site's
+//! replica trails the coordinator. No catalog contents are replicated:
+//! the serving stack prices against its hosted catalog, and the replica
+//! contributes only its epoch.
 //!
-//! * a [`CatalogCoordinator`] owns the authoritative catalog and stamps
-//!   every mutation with a monotonically increasing [`CatalogEpoch`],
-//!   keeping a delta log so the catalog *as of any epoch* can be
-//!   reconstructed;
-//! * each site holds a [`CatalogReplica`] — an epoch-stamped
-//!   [`CatalogSnapshot`] refreshed through an explicit, fault-injectable
-//!   propagation step that rejects epoch regressions (a reordered
-//!   delivery can never roll a replica backwards);
-//! * [`ReplicatedCatalog`] composes the two with a staleness bound
-//!   `max_epoch_lag`: a replica within the bound may price plans; one
-//!   beyond it must take a typed degradation path (refresh-then-retry,
-//!   HY/DS→QS downgrade, or reject) — the serving stack enforces that
-//!   lattice, and `csqp_verify`'s drift pass audits it over a recorded
-//!   [`DriftEvent`] trace.
-//!
-//! Everything here is pure, single-threaded state: the serving stack
-//! drives propagation from its own seeded fault schedule, so two runs of
-//! the same seed replay the identical drift history.
+//! [`CatalogDrift`] is the whole state machine. `csqp-serve` holds one
+//! behind a mutex while catalog faults are armed, `csqp-check --catalog`
+//! drives one offline, and `csqp_verify::catalog::check_drift` audits
+//! the [`DriftEvent`] trace it records. Everything here is pure,
+//! single-threaded state: callers draw deliveries from a seeded fault
+//! schedule, so the same admissions in the same order replay the
+//! identical drift history.
 
-use std::fmt;
+/// Hard cap on a recorded drift trace. Once an admission's events no
+/// longer fit, recording stops for good, so the trace is always a
+/// consistent *prefix* of the drift history made of whole admissions —
+/// exactly what the `csqp-verify` drift pass needs for sound replay.
+pub const DRIFT_TRACE_CAP: usize = 65_536;
 
-use crate::ids::{RelId, SiteId};
-use crate::placement::Catalog;
-
-/// A monotone catalog version number. Epoch 0 is the base catalog; every
-/// coordinator mutation publishes the next epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct CatalogEpoch(pub u64);
-
-impl fmt::Display for CatalogEpoch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "e{}", self.0)
-    }
-}
-
-impl CatalogEpoch {
-    /// The epoch of the base catalog, before any mutation.
-    pub const ZERO: CatalogEpoch = CatalogEpoch(0);
-
-    /// The epoch after this one.
-    pub fn next(self) -> CatalogEpoch {
-        CatalogEpoch(self.0 + 1)
-    }
-
-    /// How far this epoch trails `newer` (0 when equal or ahead).
-    pub fn lag_behind(self, newer: CatalogEpoch) -> u64 {
-        newer.0.saturating_sub(self.0)
-    }
-}
-
-/// One catalog mutation, stamped into the coordinator's delta log.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CatalogDelta {
-    /// Move the primary copy of `rel` to `site`.
-    Place {
-        /// The relation whose primary copy moves.
-        rel: RelId,
-        /// The server now holding the primary copy.
-        site: SiteId,
-    },
-    /// Declare a new client-cached fraction for `rel`.
-    SetCachedFraction {
-        /// The relation whose cache state changes.
-        rel: RelId,
-        /// The new cached fraction, in `[0, 1]`.
-        fraction: f64,
-    },
-}
-
-impl CatalogDelta {
-    /// Apply this delta to `catalog`. Panics propagate from the
-    /// underlying [`Catalog`] setters on out-of-range arguments; the
-    /// coordinator is the only caller and never records an invalid delta.
-    fn apply(&self, catalog: &mut Catalog) {
-        match *self {
-            CatalogDelta::Place { rel, site } => catalog.place(rel, site),
-            CatalogDelta::SetCachedFraction { rel, fraction } => {
-                catalog.set_cached_fraction(rel, fraction)
-            }
-        }
-    }
-}
-
-/// An epoch-stamped view of the catalog: what a replica holds, and what
-/// the coordinator hands out on refresh.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CatalogSnapshot {
-    /// The epoch this view is current as of.
-    pub epoch: CatalogEpoch,
-    /// The catalog contents at that epoch.
-    pub catalog: Catalog,
-}
-
-/// The authoritative catalog plus its epoch counter and delta log.
-///
-/// Mutations go through [`place`](CatalogCoordinator::place) and
-/// [`set_cached_fraction`](CatalogCoordinator::set_cached_fraction),
-/// which apply the change, bump the epoch, and record the delta — the
-/// `csqp-lint` rule `catalog-mutation` flags direct [`Catalog`] mutation
-/// outside this API (or a justified allowlist) so drift state can never
-/// bypass epoch accounting.
-#[derive(Debug, Clone)]
-pub struct CatalogCoordinator {
-    base: Catalog,
-    current: Catalog,
-    epoch: CatalogEpoch,
-    log: Vec<(CatalogEpoch, CatalogDelta)>,
-}
-
-impl CatalogCoordinator {
-    /// A coordinator whose epoch-0 catalog is `base`.
-    pub fn new(base: Catalog) -> CatalogCoordinator {
-        CatalogCoordinator {
-            current: base.clone(),
-            base,
-            epoch: CatalogEpoch::ZERO,
-            log: Vec::new(),
-        }
-    }
-
-    /// The current (newest) epoch.
-    pub fn epoch(&self) -> CatalogEpoch {
-        self.epoch
-    }
-
-    /// The authoritative catalog at the current epoch.
-    pub fn catalog(&self) -> &Catalog {
-        &self.current
-    }
-
-    /// Number of recorded mutations (== current epoch).
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Publish a placement change; returns the new epoch.
-    pub fn place(&mut self, rel: RelId, site: SiteId) -> CatalogEpoch {
-        self.publish(CatalogDelta::Place { rel, site })
-    }
-
-    /// Publish a cached-fraction change; returns the new epoch.
-    pub fn set_cached_fraction(&mut self, rel: RelId, fraction: f64) -> CatalogEpoch {
-        self.publish(CatalogDelta::SetCachedFraction { rel, fraction })
-    }
-
-    fn publish(&mut self, delta: CatalogDelta) -> CatalogEpoch {
-        delta.apply(&mut self.current);
-        self.epoch = self.epoch.next();
-        self.log.push((self.epoch, delta));
-        self.epoch
-    }
-
-    /// Snapshot of the current epoch.
-    pub fn snapshot(&self) -> CatalogSnapshot {
-        CatalogSnapshot {
-            epoch: self.epoch,
-            catalog: self.current.clone(),
-        }
-    }
-
-    /// Reconstruct the catalog as of `epoch` (clamped to the current
-    /// epoch) by replaying the delta log over the base catalog. This is
-    /// what a torn or reordered delivery hands a replica: a genuine
-    /// historical view, not a corrupted one.
-    pub fn snapshot_at(&self, epoch: CatalogEpoch) -> CatalogSnapshot {
-        let epoch = epoch.min(self.epoch);
-        let mut catalog = self.base.clone();
-        for (stamp, delta) in &self.log {
-            if *stamp > epoch {
-                break;
-            }
-            delta.apply(&mut catalog);
-        }
-        CatalogSnapshot { epoch, catalog }
-    }
-}
-
-/// Why a replica refused a refresh.
+/// What the propagation step does to a site's replica on one admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaError {
-    /// The delivered snapshot is older than what the replica already
-    /// holds — applying it would roll the epoch backwards.
-    EpochRegress {
-        /// The epoch the replica currently holds.
-        have: CatalogEpoch,
-        /// The (older) epoch of the rejected delivery.
-        got: CatalogEpoch,
+pub enum Delivery {
+    /// The refresh arrives intact: the replica catches up to the
+    /// coordinator.
+    Full,
+    /// The refresh never arrives, and the coordinator publishes a burst
+    /// of epochs (at least one) this tick, so a single fault can push the
+    /// replica past the bound.
+    Withheld {
+        /// Epochs published this tick.
+        burst: u64,
     },
+    /// A torn (partial) delivery: the replica lands one epoch short of
+    /// the coordinator.
+    Torn,
+    /// A reordered delivery: an older epoch arrives after a newer one;
+    /// the replica refuses the regression and keeps its epoch.
+    Reordered,
+    /// The refresh applies, but the cached-fraction state it carries is
+    /// unusable: the query that drew it must not price the client cache.
+    Poisoned,
 }
 
-impl fmt::Display for ReplicaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReplicaError::EpochRegress { have, got } => {
-                write!(
-                    f,
-                    "refresh would regress the replica epoch: have {have}, got {got}"
-                )
-            }
-        }
-    }
-}
-
-/// One site's epoch-stamped catalog view.
-#[derive(Debug, Clone)]
-pub struct CatalogReplica {
-    site: SiteId,
-    snapshot: CatalogSnapshot,
-    poisoned: bool,
-}
-
-impl CatalogReplica {
-    /// A replica for `site` holding `snapshot`.
-    pub fn new(site: SiteId, snapshot: CatalogSnapshot) -> CatalogReplica {
-        CatalogReplica {
-            site,
-            snapshot,
-            poisoned: false,
-        }
-    }
-
-    /// The site this replica serves.
-    pub fn site(&self) -> SiteId {
-        self.site
-    }
-
-    /// The epoch this replica is current as of.
-    pub fn epoch(&self) -> CatalogEpoch {
-        self.snapshot.epoch
-    }
-
-    /// The replicated catalog contents.
-    pub fn catalog(&self) -> &Catalog {
-        &self.snapshot.catalog
-    }
-
-    /// How many epochs this replica trails `coordinator_epoch`.
-    pub fn lag(&self, coordinator_epoch: CatalogEpoch) -> u64 {
-        self.snapshot.epoch.lag_behind(coordinator_epoch)
-    }
-
-    /// True when the cached-fraction state is marked unusable (a
-    /// poisoned propagation): plans must not price the client cache
-    /// until a full refresh clears the mark.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Mark the cached-fraction state unusable.
-    pub fn poison(&mut self) {
-        self.poisoned = true;
-    }
-
-    /// Apply a delivered snapshot. A delivery older than the current
-    /// epoch is rejected ([`ReplicaError::EpochRegress`]) and leaves the
-    /// replica untouched; an equal-or-newer delivery is applied and
-    /// clears any poison mark.
-    pub fn refresh(&mut self, snapshot: CatalogSnapshot) -> Result<CatalogEpoch, ReplicaError> {
-        if snapshot.epoch < self.snapshot.epoch {
-            return Err(ReplicaError::EpochRegress {
-                have: self.snapshot.epoch,
-                got: snapshot.epoch,
-            });
-        }
-        self.snapshot = snapshot;
-        self.poisoned = false;
-        Ok(self.snapshot.epoch)
-    }
-}
-
-/// A coordinator plus one replica per server site, under a staleness
-/// bound. Propagation is *explicit*: nothing refreshes until the caller
-/// (the serving stack, the chaos harness, `csqp-check --catalog`) drives
-/// it, which is what makes withheld, torn, and reordered deliveries
-/// injectable and seeded runs reproducible.
-#[derive(Debug, Clone)]
-pub struct ReplicatedCatalog {
-    coordinator: CatalogCoordinator,
-    replicas: Vec<CatalogReplica>,
-    max_epoch_lag: u64,
-}
-
-impl ReplicatedCatalog {
-    /// Replicate `base` to every server site (`1..=num_servers`), all
-    /// starting fresh at epoch 0, with staleness bound `max_epoch_lag`.
-    pub fn new(base: Catalog, max_epoch_lag: u64) -> ReplicatedCatalog {
-        let coordinator = CatalogCoordinator::new(base);
-        let snapshot = coordinator.snapshot();
-        let replicas = (1..=coordinator.catalog().num_servers())
-            .map(|s| CatalogReplica::new(SiteId::server(s), snapshot.clone()))
-            .collect();
-        ReplicatedCatalog {
-            coordinator,
-            replicas,
-            max_epoch_lag,
-        }
-    }
-
-    /// The configured staleness bound.
-    pub fn max_epoch_lag(&self) -> u64 {
-        self.max_epoch_lag
-    }
-
-    /// The coordinator (authoritative catalog + epoch + log).
-    pub fn coordinator(&self) -> &CatalogCoordinator {
-        &self.coordinator
-    }
-
-    /// Publish a placement change through the coordinator.
-    pub fn place(&mut self, rel: RelId, site: SiteId) -> CatalogEpoch {
-        self.coordinator.place(rel, site)
-    }
-
-    /// Publish a cached-fraction change through the coordinator.
-    pub fn set_cached_fraction(&mut self, rel: RelId, fraction: f64) -> CatalogEpoch {
-        self.coordinator.set_cached_fraction(rel, fraction)
-    }
-
-    /// The replica for server `site`, if it exists.
-    pub fn replica(&self, site: SiteId) -> Option<&CatalogReplica> {
-        self.replica_index(site).map(|i| &self.replicas[i])
-    }
-
-    /// Mutable access to the replica for server `site` (the fault layer
-    /// uses this to poison cached-fraction state).
-    pub fn replica_mut(&mut self, site: SiteId) -> Option<&mut CatalogReplica> {
-        self.replica_index(site).map(move |i| &mut self.replicas[i])
-    }
-
-    fn replica_index(&self, site: SiteId) -> Option<usize> {
-        if site.is_server() && site.0 <= self.coordinator.catalog().num_servers() {
-            Some(site.0 as usize - 1)
-        } else {
-            None
-        }
-    }
-
-    /// Propagate the current coordinator snapshot to `site`. Returns the
-    /// epoch the replica now holds; `None` for an unknown site.
-    pub fn propagate(&mut self, site: SiteId) -> Option<CatalogEpoch> {
-        let snapshot = self.coordinator.snapshot();
-        let i = self.replica_index(site)?;
-        // A full current snapshot can never regress.
-        self.replicas[i].refresh(snapshot).ok()
-    }
-
-    /// Propagate the current snapshot to every replica.
-    pub fn propagate_all(&mut self) {
-        for s in 1..=self.coordinator.catalog().num_servers() {
-            self.propagate(SiteId::server(s));
-        }
-    }
-
-    /// Deliver the historical snapshot at `epoch` to `site` — the torn
-    /// (partial) and reordered (stale) propagation paths. The replica's
-    /// regression guard decides whether the delivery applies.
-    pub fn deliver_at(
-        &mut self,
-        site: SiteId,
-        epoch: CatalogEpoch,
-    ) -> Option<Result<CatalogEpoch, ReplicaError>> {
-        let snapshot = self.coordinator.snapshot_at(epoch);
-        let i = self.replica_index(site)?;
-        Some(self.replicas[i].refresh(snapshot))
-    }
-
-    /// How many epochs `site`'s replica trails the coordinator.
-    pub fn lag(&self, site: SiteId) -> Option<u64> {
-        self.replica(site).map(|r| r.lag(self.coordinator.epoch()))
-    }
-
-    /// True when `site`'s replica is within the staleness bound and its
-    /// cache state is usable — i.e. it may price plans without taking
-    /// the degradation path.
-    pub fn within_bound(&self, site: SiteId) -> bool {
-        self.replica(site).is_some_and(|r| {
-            !r.is_poisoned() && r.lag(self.coordinator.epoch()) <= self.max_epoch_lag
-        })
-    }
-}
-
-/// What a served query did about its replica's staleness, in a recorded
-/// drift trace.
+/// What a served query did about its replica's staleness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriftAction {
     /// Served against a within-bound replica, no degradation.
@@ -401,9 +62,9 @@ pub enum DriftAction {
     Rejected,
 }
 
-/// One event in a drift trace: the serving stack (or a replay harness)
-/// records these so `csqp_verify`'s drift-conformance pass can audit,
-/// after the fact, that no plan was ever priced beyond the bound.
+/// One event in a drift trace, recorded so `csqp_verify`'s
+/// drift-conformance pass can audit, after the fact, that no plan was
+/// ever priced beyond the bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriftEvent {
     /// The coordinator published a new epoch.
@@ -411,13 +72,13 @@ pub enum DriftEvent {
         /// The epoch just published.
         epoch: u64,
     },
-    /// A snapshot delivery reached a replica.
+    /// A delivery reached a replica.
     Refresh {
         /// The replica's site number.
         site: u32,
         /// The epoch the replica held before the delivery.
         from: u64,
-        /// The epoch of the delivered snapshot.
+        /// The epoch of the delivery.
         to: u64,
         /// Whether the replica applied it (a regression is recorded
         /// with `applied: false`; `applied: true` with `to < from` is
@@ -437,110 +98,270 @@ pub enum DriftEvent {
         priced_epoch: u64,
         /// The coordinator epoch at serve time.
         coordinator_epoch: u64,
-        /// The lag the server *recorded* for this serve (the verify
-        /// pass recomputes it and flags disagreement).
+        /// The lag *recorded* for this serve (the verify pass
+        /// recomputes it and flags disagreement).
         lag: u64,
         /// The degradation decision taken.
         action: DriftAction,
     },
 }
 
+/// The outcome of one [`CatalogDrift::admit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Admission {
+    /// The degradation decision for the admitted query.
+    pub action: DriftAction,
+    /// How many epochs the site's replica trailed the coordinator.
+    pub lag: u64,
+    /// Epochs the coordinator published on this admission; a memo
+    /// keyed on catalog state must invalidate once per epoch.
+    pub published: u64,
+}
+
+/// The drift counters the STATS frame reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DriftStats {
+    /// The coordinator's newest epoch.
+    pub epoch: u64,
+    /// Deliveries replicas applied, torn ones included.
+    pub refreshes: u64,
+    /// Reordered (regressing) deliveries the replicas refused.
+    pub regressions: u64,
+    /// Queries downgraded to QS for staleness or poison.
+    pub stale_degraded: u64,
+    /// QS queries refused outright for staleness.
+    pub stale_rejected: u64,
+    /// The worst replica lag seen at any admission.
+    pub max_lag: u64,
+}
+
+/// Coordinator and per-site replica epochs under a staleness bound, plus
+/// the counters and the capped event trace. Propagation is explicit:
+/// nothing refreshes until the caller admits a query with a
+/// [`Delivery`], which is what makes faults injectable and seeded runs
+/// reproducible.
+#[derive(Debug, Clone)]
+pub struct CatalogDrift {
+    max_epoch_lag: u64,
+    replicas: Vec<u64>,
+    stats: DriftStats,
+    trace: Vec<DriftEvent>,
+    trace_cap: usize,
+}
+
+impl CatalogDrift {
+    /// `sites` replicas (at least one, numbered from 0), all fresh at
+    /// epoch 0, under staleness bound `max_epoch_lag`.
+    pub fn new(sites: usize, max_epoch_lag: u64) -> CatalogDrift {
+        CatalogDrift {
+            max_epoch_lag,
+            replicas: vec![0; sites.max(1)],
+            stats: DriftStats::default(),
+            trace: Vec::new(),
+            trace_cap: DRIFT_TRACE_CAP,
+        }
+    }
+
+    /// The counters, with the coordinator's current epoch.
+    pub fn stats(&self) -> DriftStats {
+        self.stats
+    }
+
+    /// The recorded event trace (capped at [`DRIFT_TRACE_CAP`]).
+    pub fn trace(&self) -> &[DriftEvent] {
+        &self.trace
+    }
+
+    /// The epoch `site`'s replica holds (sites wrap modulo the replica
+    /// count, as in [`CatalogDrift::admit`]).
+    pub fn replica_epoch(&self, site: usize) -> u64 {
+        self.replicas[site % self.replicas.len()]
+    }
+
+    /// Admit one query at `site` (wrapping modulo the replica count): the
+    /// coordinator publishes, `delivery` decides what reaches the
+    /// replica, and the lattice decides the verdict. A poisoned delivery
+    /// degrades the query that drew it; otherwise a replica within the
+    /// bound serves fresh, and one past it degrades when
+    /// `can_downgrade` (the request is not already QS) or is rejected.
+    pub fn admit(&mut self, site: usize, delivery: Delivery, can_downgrade: bool) -> Admission {
+        let mark = self.trace.len();
+        let published = match delivery {
+            Delivery::Withheld { burst } => burst.max(1),
+            _ => 1,
+        };
+        for _ in 0..published {
+            self.stats.epoch += 1;
+            self.trace.push(DriftEvent::Publish {
+                epoch: self.stats.epoch,
+            });
+        }
+        let coord = self.stats.epoch;
+        let index = site % self.replicas.len();
+        let from = self.replicas[index];
+        match delivery {
+            Delivery::Full | Delivery::Poisoned => self.apply(index, coord),
+            Delivery::Withheld { .. } => {}
+            // One epoch was published and a replica never runs ahead of
+            // the coordinator, so `coord - 1 >= from`: a torn delivery
+            // never regresses.
+            Delivery::Torn => self.apply(index, (coord - 1).max(from)),
+            Delivery::Reordered => {
+                self.stats.regressions += 1;
+                self.trace.push(DriftEvent::Refresh {
+                    site: site_number(index),
+                    from,
+                    to: from.saturating_sub(1),
+                    applied: false,
+                });
+            }
+        }
+        let poisoned = delivery == Delivery::Poisoned;
+        if poisoned {
+            self.trace.push(DriftEvent::Poison {
+                site: site_number(index),
+            });
+        }
+
+        let priced = self.replicas[index];
+        let lag = coord - priced;
+        self.stats.max_lag = self.stats.max_lag.max(lag);
+        let action = if poisoned {
+            self.stats.stale_degraded += 1;
+            DriftAction::Degraded
+        } else if lag <= self.max_epoch_lag {
+            DriftAction::Fresh
+        } else if can_downgrade {
+            self.stats.stale_degraded += 1;
+            DriftAction::Degraded
+        } else {
+            self.stats.stale_rejected += 1;
+            DriftAction::Rejected
+        };
+        self.trace.push(DriftEvent::Serve {
+            site: site_number(index),
+            priced_epoch: priced,
+            coordinator_epoch: coord,
+            lag,
+            action,
+        });
+        if self.trace.len() > self.trace_cap {
+            // Drop this admission whole and stop recording: later
+            // admissions would leave a gap the audit cannot replay.
+            self.trace.truncate(mark);
+            self.trace_cap = mark;
+        }
+        Admission {
+            action,
+            lag,
+            published,
+        }
+    }
+
+    /// Apply a delivery of epoch `to` at replica `index`.
+    fn apply(&mut self, index: usize, to: u64) {
+        let from = self.replicas[index];
+        self.replicas[index] = to;
+        self.stats.refreshes += 1;
+        self.trace.push(DriftEvent::Refresh {
+            site: site_number(index),
+            from,
+            to,
+            applied: true,
+        });
+    }
+}
+
+/// A replica index as the site number events carry.
+fn site_number(index: usize) -> u32 {
+    u32::try_from(index).unwrap_or(u32::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn base() -> Catalog {
-        let mut c = Catalog::new(2);
-        c.place(RelId(0), SiteId::server(1));
-        c.place(RelId(1), SiteId::server(2));
-        c
-    }
-
     #[test]
-    fn epochs_are_monotone_and_logged() {
-        let mut coord = CatalogCoordinator::new(base());
-        assert_eq!(coord.epoch(), CatalogEpoch::ZERO);
-        let e1 = coord.set_cached_fraction(RelId(0), 0.5);
-        let e2 = coord.place(RelId(1), SiteId::server(1));
-        assert_eq!((e1, e2), (CatalogEpoch(1), CatalogEpoch(2)));
-        assert_eq!(coord.log_len(), 2);
-        assert_eq!(coord.catalog().cached_fraction(RelId(0)), 0.5);
+    fn deliveries_move_the_replica_as_documented() {
+        let mut drift = CatalogDrift::new(2, 2);
+        let a = drift.admit(0, Delivery::Full, true);
+        assert_eq!((a.action, a.lag, a.published), (DriftAction::Fresh, 0, 1));
+        assert_eq!(drift.replica_epoch(0), 1);
+
+        let a = drift.admit(0, Delivery::Withheld { burst: 3 }, true);
         assert_eq!(
-            coord.catalog().try_primary_site(RelId(1)),
-            Some(SiteId::server(1))
+            (a.action, a.lag, a.published),
+            (DriftAction::Degraded, 3, 3)
         );
-    }
+        assert_eq!(drift.replica_epoch(0), 1, "withheld: nothing arrives");
 
-    #[test]
-    fn snapshot_at_replays_history() {
-        let mut coord = CatalogCoordinator::new(base());
-        coord.set_cached_fraction(RelId(0), 0.25);
-        coord.set_cached_fraction(RelId(0), 0.75);
-        let old = coord.snapshot_at(CatalogEpoch(1));
-        assert_eq!(old.epoch, CatalogEpoch(1));
-        assert_eq!(old.catalog.cached_fraction(RelId(0)), 0.25);
-        let now = coord.snapshot_at(CatalogEpoch(99));
-        assert_eq!(now.epoch, CatalogEpoch(2), "clamped to the newest epoch");
-        assert_eq!(now.catalog.cached_fraction(RelId(0)), 0.75);
-    }
+        let a = drift.admit(0, Delivery::Torn, false);
+        assert_eq!(drift.replica_epoch(0), 4, "torn: one epoch short");
+        assert_eq!((a.action, a.lag), (DriftAction::Fresh, 1));
 
-    #[test]
-    fn replica_rejects_regressions_and_clears_poison() {
-        let mut rc = ReplicatedCatalog::new(base(), 2);
-        rc.set_cached_fraction(RelId(0), 0.5);
-        rc.set_cached_fraction(RelId(0), 1.0);
-        let s1 = SiteId::server(1);
-        assert_eq!(rc.propagate(s1), Some(CatalogEpoch(2)));
-        // A reordered (older) delivery is refused and changes nothing.
-        let err = rc.deliver_at(s1, CatalogEpoch(1)).expect("known site");
+        let a = drift.admit(0, Delivery::Reordered, false);
+        assert_eq!(drift.replica_epoch(0), 4, "reordered: refused");
+        assert_eq!((a.action, a.lag), (DriftAction::Fresh, 2));
+
+        let a = drift.admit(2, Delivery::Poisoned, false);
+        assert_eq!(drift.replica_epoch(0), 7, "site 2 wraps to site 0");
+        assert_eq!((a.action, a.lag), (DriftAction::Degraded, 0));
+        // Poison is scoped to the query that drew it.
+        let a = drift.admit(0, Delivery::Full, true);
+        assert_eq!(a.action, DriftAction::Fresh);
+
         assert_eq!(
-            err,
-            Err(ReplicaError::EpochRegress {
-                have: CatalogEpoch(2),
-                got: CatalogEpoch(1),
-            })
+            drift.stats(),
+            DriftStats {
+                epoch: 8,
+                refreshes: 4,
+                regressions: 1,
+                stale_degraded: 2,
+                stale_rejected: 0,
+                max_lag: 3,
+            }
         );
+        assert_eq!(drift.replica_epoch(1), 0, "site 1 never refreshed");
+    }
+
+    #[test]
+    fn past_the_bound_qs_is_rejected_and_others_degrade() {
+        let mut drift = CatalogDrift::new(1, 1);
+        let a = drift.admit(0, Delivery::Withheld { burst: 2 }, false);
+        assert_eq!((a.action, a.lag), (DriftAction::Rejected, 2));
+        let a = drift.admit(0, Delivery::Withheld { burst: 0 }, true);
+        assert_eq!(a.published, 1, "a withheld burst publishes at least once");
+        assert_eq!((a.action, a.lag), (DriftAction::Degraded, 3));
+        assert_eq!(drift.stats().stale_rejected, 1);
+        assert_eq!(drift.stats().stale_degraded, 1);
+    }
+
+    #[test]
+    fn the_trace_records_whole_admissions_and_stops_at_the_cap() {
+        let mut drift = CatalogDrift::new(1, 1);
+        drift.trace_cap = 7;
+        drift.admit(0, Delivery::Full, true); // 3 events
+        drift.admit(0, Delivery::Withheld { burst: 4 }, true); // 5: does not fit
+        drift.admit(0, Delivery::Full, true); // 3: would fit, but leaves a gap
         assert_eq!(
-            rc.replica(s1).map(CatalogReplica::epoch),
-            Some(CatalogEpoch(2))
+            drift.trace(),
+            &[
+                DriftEvent::Publish { epoch: 1 },
+                DriftEvent::Refresh {
+                    site: 0,
+                    from: 0,
+                    to: 1,
+                    applied: true,
+                },
+                DriftEvent::Serve {
+                    site: 0,
+                    priced_epoch: 1,
+                    coordinator_epoch: 1,
+                    lag: 0,
+                    action: DriftAction::Fresh,
+                },
+            ]
         );
-        // Poison marks cache state unusable; a full refresh clears it.
-        rc.replica_mut(s1).expect("known site").poison();
-        assert!(!rc.within_bound(s1));
-        rc.set_cached_fraction(RelId(1), 0.25);
-        rc.propagate(s1);
-        assert!(rc.within_bound(s1));
-    }
-
-    #[test]
-    fn lag_and_bound_track_the_coordinator() {
-        let mut rc = ReplicatedCatalog::new(base(), 1);
-        let s2 = SiteId::server(2);
-        assert_eq!(rc.lag(s2), Some(0));
-        assert!(rc.within_bound(s2));
-        rc.set_cached_fraction(RelId(0), 0.5);
-        assert_eq!(rc.lag(s2), Some(1));
-        assert!(rc.within_bound(s2), "lag == bound is still within");
-        rc.set_cached_fraction(RelId(0), 0.75);
-        assert_eq!(rc.lag(s2), Some(2));
-        assert!(!rc.within_bound(s2), "lag > bound must degrade");
-        // A torn delivery (one epoch short of current) pulls it back in.
-        let torn = rc.coordinator().epoch().0 - 1;
-        rc.deliver_at(s2, CatalogEpoch(torn))
-            .expect("known site")
-            .expect("newer delivery applies");
-        assert_eq!(rc.lag(s2), Some(1));
-        assert!(rc.within_bound(s2));
-    }
-
-    #[test]
-    fn unknown_sites_are_none_not_panics() {
-        let mut rc = ReplicatedCatalog::new(base(), 1);
-        assert!(rc.replica(SiteId::CLIENT).is_none());
-        assert!(rc.replica(SiteId::server(9)).is_none());
-        assert!(rc.propagate(SiteId::server(9)).is_none());
-        assert!(rc.deliver_at(SiteId::CLIENT, CatalogEpoch(0)).is_none());
-        assert_eq!(rc.lag(SiteId::server(3)), None);
-        assert!(!rc.within_bound(SiteId::CLIENT));
+        assert_eq!(drift.stats().epoch, 6, "the state machine keeps running");
     }
 }

@@ -161,8 +161,9 @@ pub enum DiagCode {
     /// with a justification for why it cannot stall the serving path.
     UnboundedChannel,
     /// A direct `Catalog` mutation (`place`/`set_cached_fraction`)
-    /// outside the `CatalogCoordinator` epoch API or the justified
-    /// allowlist: drift state must never bypass epoch accounting.
+    /// outside the justified allowlist of construction-time call sites:
+    /// runtime drift is modelled as `CatalogDrift` epochs, and a change
+    /// that publishes no epoch never invalidates the memo.
     CatalogMutation,
     /// An `extern` block (raw C-ABI syscall binding) outside the
     /// justified allowlist: unsafe FFI shims live in one audited module

@@ -17,7 +17,7 @@ use csqp_core::cancel::{CancelToken, StopReason};
 use csqp_core::{bind, BindContext, BindError, Diagnostic, Plan, Policy};
 use csqp_cost::{CostModel, Objective};
 use csqp_engine::{ExecutionBuilder, ExecutionMetrics, ServerLoad};
-use csqp_optimizer::{OptConfig, Optimizer};
+use csqp_optimizer::{OptConfig, OptResult, Optimizer};
 use csqp_simkernel::rng::SimRng;
 use csqp_workload::load_utilization;
 
@@ -137,6 +137,28 @@ pub fn execute_plan_guarded(
     Ok(builder.execute(&bound))
 }
 
+/// Two-phase planning (iterative improvement, then simulated annealing)
+/// of `query` under `policy` for `objective` against the scenario's cost
+/// model, seeded by `seed` and probing `guard` between search steps.
+/// The single planning entry point: [`run_query`] and the serving layer's
+/// two-phase mode both call it, so a served plan is the figures' plan.
+#[allow(clippy::too_many_arguments)]
+pub fn plan_two_phase(
+    query: &QuerySpec,
+    catalog: &Catalog,
+    sys: &SystemConfig,
+    loads: &[ServerLoad],
+    policy: Policy,
+    objective: Objective,
+    opt: &OptConfig,
+    seed: u64,
+    guard: &CancelToken,
+) -> Result<OptResult, StopReason> {
+    let model = cost_model(sys, catalog, query, loads);
+    let optimizer = Optimizer::new(&model, policy, objective, opt.clone());
+    optimizer.optimize_guarded(query, &mut SimRng::seed_from_u64(seed), guard)
+}
+
 /// The paper's measurement pipeline in one call: optimize `query` under
 /// `policy` for `objective` against the scenario's cost model, then
 /// simulate the winning plan ("the query optimizer was configured to
@@ -152,10 +174,18 @@ pub fn run_query(
     opt: &OptConfig,
     seed: u64,
 ) -> Result<RunStats, RunError> {
-    let model = cost_model(sys, catalog, query, loads);
-    let optimizer = Optimizer::new(&model, policy, objective, opt.clone());
-    let mut rng = SimRng::seed_from_u64(seed);
-    let result = optimizer.optimize(query, &mut rng);
+    let result = plan_two_phase(
+        query,
+        catalog,
+        sys,
+        loads,
+        policy,
+        objective,
+        opt,
+        seed,
+        &CancelToken::inert(),
+    )
+    .map_err(RunError::Interrupted)?;
     let metrics = execute_plan(&result.plan, query, catalog, sys, loads, seed)?;
     Ok(RunStats {
         plan: result.plan,

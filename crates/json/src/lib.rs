@@ -164,14 +164,6 @@ impl Json {
         }
     }
 
-    /// The boolean, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The array elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

@@ -44,13 +44,15 @@
 //!   integer narrowing through `try_from` / `u32::from`, or justify the
 //!   site in the allowlist.
 //! * **catalog-mutation** — no direct `Catalog` mutation (`.place(…)` /
-//!   `.set_cached_fraction(…)`) outside the justified allowlist. Once a
-//!   catalog is replicated per serving site, a mutation that bypasses
-//!   the coordinator/epoch API (`ReplicatedCatalog`) silently desyncs
-//!   replicas without bumping an epoch — so the memo never invalidates
-//!   and staleness bounds cannot be enforced. Construction-time call
-//!   sites (tests, benches, workload generators, pre-serving setup)
-//!   carry entries saying so.
+//!   `.set_cached_fraction(…)`) outside the justified allowlist. The
+//!   serving stack builds each request's catalog fresh
+//!   (`QueryService::catalog_for`) and models runtime drift as epochs
+//!   (`csqp_catalog::CatalogDrift`), each of which bumps the memo
+//!   generation; mutating a catalog anything plans against changes what
+//!   plans are priced on with no epoch published — so the memo never
+//!   invalidates and staleness bounds cannot be enforced.
+//!   Construction-time call sites (tests, benches, workload generators,
+//!   per-request setup) carry entries saying so.
 //!
 //! Allowlist hygiene is itself checked: an entry that matches nothing,
 //! or carries no justification, is reported as **stale-allow** so the
@@ -88,7 +90,7 @@ pub enum RuleKind {
     /// Unbounded `mpsc::channel()`, or a lock held across blocking I/O.
     UnboundedChannel,
     /// Direct `Catalog` mutation (`.place(…)` /
-    /// `.set_cached_fraction(…)`) outside the coordinator/epoch API.
+    /// `.set_cached_fraction(…)`) outside construction-time call sites.
     CatalogMutation,
     /// A bare narrowing `as` cast in the bound/cost arithmetic crates.
     NumericTruncation,
@@ -223,6 +225,32 @@ pub const ALLOWLIST: &[Allow] = &[
               wait bounds setup and never enters a reported rate",
     },
     Allow {
+        path: "perfbench/src/main.rs",
+        rule: RuleKind::WallClock,
+        why: "the end-to-end benchmark times set-up, warm and measured \
+              segments; wall time is its metric, and replies are checked \
+              byte-equal to in-process serving",
+    },
+    Allow {
+        path: "perfbench/src/probe.rs",
+        rule: RuleKind::WallClock,
+        why: "the host-speed probe times a fixed workload so the benchmark \
+              can scale each timed interval; the timing is the probe",
+    },
+    Allow {
+        path: "perfbench/src/replay.rs",
+        rule: RuleKind::WallClock,
+        why: "the layered replay times each serving layer of one request for \
+              the per-layer breakdown; results are checked against \
+              handle_query and never depend on the timings",
+    },
+    Allow {
+        path: "perfbench/src/served.rs",
+        rule: RuleKind::WallClock,
+        why: "the benchmark client times each closed-loop request against the \
+              live server; latency is the measurement",
+    },
+    Allow {
         path: "crates/serve/tests/loopback.rs",
         rule: RuleKind::WallClock,
         why: "integration tests bound waits on a live loopback server",
@@ -315,12 +343,6 @@ pub const ALLOWLIST: &[Allow] = &[
               placement generators; the primitive's home",
     },
     Allow {
-        path: "crates/catalog/src/replica.rs",
-        rule: RuleKind::CatalogMutation,
-        why: "the coordinator/epoch API itself: the one blessed mutation \
-              path, applying logged deltas to the base and replica catalogs",
-    },
-    Allow {
         path: "crates/core/src/bind.rs",
         rule: RuleKind::CatalogMutation,
         why: "test-only catalogs built to bind plans against",
@@ -394,9 +416,10 @@ pub const ALLOWLIST: &[Allow] = &[
     Allow {
         path: "crates/serve/src/server.rs",
         rule: RuleKind::CatalogMutation,
-        why: "builds the hosted placement once at startup, before serving; \
-              runtime drift flows through the epoch model, never raw \
-              mutation of the served catalog",
+        why: "applies a request's declared cached fractions to that \
+              request's own fresh copy of the hosted placement (catalog_for); \
+              no catalog is shared across requests, and runtime drift is \
+              modelled as CatalogDrift epochs that bump the memo generation",
     },
     Allow {
         path: "crates/serve/tests/loopback.rs",
@@ -423,9 +446,15 @@ pub const ALLOWLIST: &[Allow] = &[
     Allow {
         path: "src/bin/check.rs",
         rule: RuleKind::CatalogMutation,
-        why: "the drift replay drives mutations through the \
-              ReplicatedCatalog epoch API, whose methods deliberately share \
-              the Catalog spelling; earlier stages build fixture catalogs",
+        why: "the memo stage builds per-case fixture catalogs before \
+              planning against them; nothing is served from them",
+    },
+    Allow {
+        path: "perfbench/src/replay.rs",
+        rule: RuleKind::CatalogMutation,
+        why: "the layered replay rebuilds one request's catalog exactly as \
+              handle_query does (catalog_for plus the declared cached \
+              fractions) so each layer can be timed; nothing is served from it",
     },
     Allow {
         path: "examples/multi_query.rs",
@@ -611,10 +640,11 @@ impl Linter {
                         rel,
                         lineno,
                         format!(
-                            "direct catalog mutation `{pat}…)` bypasses the \
-                             coordinator/epoch API; replicas desync and the memo \
-                             never invalidates — go through ReplicatedCatalog or \
-                             justify the construction-time call site"
+                            "direct catalog mutation `{pat}…)` publishes no \
+                             drift epoch, so the memo never invalidates — build \
+                             the catalog fresh (QueryService::catalog_for), model \
+                             runtime drift as CatalogDrift epochs, or justify the \
+                             construction-time call site"
                         ),
                     ));
                 }

@@ -17,6 +17,7 @@
 
 use std::io::{Read, Write};
 
+use csqp_catalog::Delivery;
 use csqp_simkernel::rng::SimRng;
 
 /// What the injector does to one query exchange.
@@ -305,6 +306,23 @@ impl FaultPlan {
             return CatalogFault::None;
         }
         *rng.pick(&CatalogFault::ALL)
+    }
+
+    /// The [`Delivery`] the drift model applies for the query whose
+    /// request carried `query_seed`: [`FaultPlan::catalog_fault_for`]
+    /// mapped onto the propagation step, with a withheld refresh
+    /// publishing a burst of `1 + below(4)` epochs from its own derived
+    /// stream.
+    pub fn catalog_delivery_for(&self, query_seed: u64) -> Delivery {
+        match self.catalog_fault_for(query_seed) {
+            CatalogFault::None => Delivery::Full,
+            CatalogFault::WithheldRefresh => Delivery::Withheld {
+                burst: 1 + self.catalog_rng_for(query_seed).derive(1).below(4) as u64,
+            },
+            CatalogFault::TornEpoch => Delivery::Torn,
+            CatalogFault::ReorderedEpoch => Delivery::Reordered,
+            CatalogFault::PoisonedFraction => Delivery::Poisoned,
+        }
     }
 }
 

@@ -8,8 +8,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use csqp_catalog::DriftStats;
 use csqp_core::Policy;
 use csqp_engine::LinkStats;
+use csqp_memo::MemoSnapshot;
 
 use crate::proto::StatsSnapshot;
 
@@ -261,8 +263,11 @@ impl ServerMetrics {
         self.lint_checks.load(Ordering::Relaxed)
     }
 
-    /// Point-in-time snapshot for the STATS frame.
-    pub fn snapshot(&self) -> StatsSnapshot {
+    /// Point-in-time snapshot for the STATS frame. The memo and the
+    /// catalog drift model live on the `QueryService`, which passes
+    /// their counters in (defaults when either is off), so every field
+    /// is filled here exactly once.
+    pub fn snapshot(&self, memo: &MemoSnapshot, drift: &DriftStats) -> StatsSnapshot {
         let sorted = {
             let samples = lock(&self.latencies_us);
             let mut s = samples.clone();
@@ -290,19 +295,16 @@ impl ServerMetrics {
                 control_msgs_sent: self.wire_msgs.load(Ordering::Relaxed),
                 bytes_sent: self.wire_bytes.load(Ordering::Relaxed),
             },
-            // The memo and the catalog drift state live on the
-            // QueryService, not here; `QueryService::stats_snapshot`
-            // merges their counters in.
-            memo_hits: 0,
-            memo_misses: 0,
-            memo_evictions: 0,
-            memo_bytes: 0,
-            catalog_epoch: 0,
-            catalog_refreshes: 0,
-            catalog_stale_degraded: 0,
-            catalog_stale_rejected: 0,
-            catalog_epoch_regressions: 0,
-            catalog_max_lag: 0,
+            memo_hits: memo.hits,
+            memo_misses: memo.misses,
+            memo_evictions: memo.evictions,
+            memo_bytes: memo.bytes,
+            catalog_epoch: drift.epoch,
+            catalog_refreshes: drift.refreshes,
+            catalog_stale_degraded: drift.stale_degraded,
+            catalog_stale_rejected: drift.stale_rejected,
+            catalog_epoch_regressions: drift.regressions,
+            catalog_max_lag: drift.max_lag,
             mem_bound_degraded: self.mem_bound_degraded.load(Ordering::Relaxed),
             mem_bound_rejected: self.mem_bound_rejected.load(Ordering::Relaxed),
             reactor_wait_calls: self.reactor_wait_calls.load(Ordering::Relaxed),
@@ -356,7 +358,7 @@ mod tests {
         m.record_timed_out();
         m.record_degraded();
         m.record_lint();
-        let s = m.snapshot();
+        let s = m.snapshot(&MemoSnapshot::default(), &DriftStats::default());
         assert_eq!(s.submitted, 7);
         assert_eq!(s.queries_served, 3);
         assert_eq!(s.rejected, 1);
@@ -393,7 +395,7 @@ mod tests {
         assert_eq!(m.reactor_wait_calls(), 15);
         assert_eq!(m.reactor_ctl_calls(), 2);
         assert_eq!(m.reactor_events_dispatched(), 10);
-        let s = m.snapshot();
+        let s = m.snapshot(&MemoSnapshot::default(), &DriftStats::default());
         assert_eq!(s.reactor_wait_calls, 15);
         assert_eq!(s.reactor_ctl_calls, 2);
         assert_eq!(s.reactor_events_dispatched, 10);

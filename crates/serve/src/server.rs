@@ -30,13 +30,15 @@ use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use csqp_catalog::{Catalog, DriftAction, DriftEvent, SiteId, SystemConfig};
+use csqp_catalog::{
+    Catalog, CatalogDrift, DriftAction, DriftEvent, DriftStats, SiteId, SystemConfig,
+};
 use csqp_core::cancel::{CancelToken, StopReason};
 use csqp_core::{DiagCode, Policy};
 use csqp_engine::ServerLoad;
 use csqp_experiments::runner;
 use csqp_memo::{CacheBuckets, Env as MemoEnv, MemoConfig, MemoTable};
-use csqp_optimizer::{CompileTimeAssumption, OptConfig, Optimizer, TwoStepPlanner};
+use csqp_optimizer::{CompileTimeAssumption, OptConfig, TwoStepPlanner};
 use csqp_simkernel::rng::SimRng;
 use csqp_workload::{random_placement, WorkloadSpec};
 
@@ -191,13 +193,13 @@ pub(crate) const SHUTDOWN_RETRY_AFTER_MS: u64 = 1_000;
 
 /// How the admitting shard's catalog replica stood against the
 /// coordinator when a query was admitted — the typed degradation verdict
-/// of the replication layer (DESIGN.md §14). Computed once per admitted
+/// of the catalog drift model (DESIGN.md §14). Computed once per admitted
 /// query by the shard thread and carried on the `Job` so the worker
 /// honors exactly the state the admission decision saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CatalogVerdict {
     /// The replica is within [`ServerConfig::catalog_lag`]: serve at the
-    /// requested policy, priced against the replica's epoch.
+    /// requested policy.
     Fresh,
     /// The replica is past the bound (or its cached-fraction state is
     /// poisoned) but the request can still downgrade: serve QS — which
@@ -211,53 +213,6 @@ pub enum CatalogVerdict {
         /// How many epochs the replica trailed the coordinator.
         lag: u64,
     },
-}
-
-/// Hard cap on the recorded drift trace. When a soak outgrows it, whole
-/// queries stop being recorded (never partial event groups), so the
-/// trace stays a consistent *prefix* of the drift history — exactly what
-/// the `csqp-verify` drift pass needs for sound replay.
-const DRIFT_TRACE_CAP: usize = 65_536;
-
-/// Epoch bookkeeping for the simulated per-shard catalog replicas. All
-/// zeros — and never touched — unless [`ServerConfig::catalog_faults`]
-/// is armed, which is what keeps the no-fault serving path byte-
-/// identical to a pre-replication build.
-struct DriftState {
-    /// The coordinator's published epoch.
-    coordinator: AtomicU64,
-    /// Each shard's replica epoch, indexed by shard (event-loop) index.
-    replicas: Vec<AtomicU64>,
-    /// Refresh deliveries applied by replicas (including torn ones).
-    refreshes: AtomicU64,
-    /// Torn deliveries: a refresh applied one delta short.
-    torn: AtomicU64,
-    /// Reordered (regressing) deliveries the replicas refused.
-    regressions: AtomicU64,
-    /// Queries downgraded to QS for staleness or poison.
-    stale_degraded: AtomicU64,
-    /// QS queries bounced outright for staleness.
-    stale_rejected: AtomicU64,
-    /// Worst replica lag observed at any admission decision.
-    max_lag: AtomicU64,
-    /// The event trace the `csqp-verify` drift pass audits after a soak.
-    trace: Mutex<Vec<DriftEvent>>,
-}
-
-impl DriftState {
-    fn new(shards: usize) -> DriftState {
-        DriftState {
-            coordinator: AtomicU64::new(0),
-            replicas: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            refreshes: AtomicU64::new(0),
-            torn: AtomicU64::new(0),
-            regressions: AtomicU64::new(0),
-            stale_degraded: AtomicU64::new(0),
-            stale_rejected: AtomicU64::new(0),
-            max_lag: AtomicU64::new(0),
-            trace: Mutex::new(Vec::new()),
-        }
-    }
 }
 
 /// The shared query-execution service: Table 2 system parameters, the
@@ -275,9 +230,12 @@ pub struct QueryService {
     /// Queries admitted but not yet finished (queued + executing); the
     /// degradation high-water mark compares against this.
     inflight: AtomicU64,
-    /// The per-shard catalog replica epochs and drift counters; inert
-    /// unless catalog faults are armed.
-    drift: DriftState,
+    /// The per-shard catalog replica epochs, drift counters and trace.
+    /// Present only while catalog faults are armed, so an unarmed server
+    /// takes no lock for it. One mutex around the whole state machine
+    /// makes each admission's epoch updates and trace events one step,
+    /// whichever shards race.
+    drift: Option<Mutex<CatalogDrift>>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -294,7 +252,10 @@ impl QueryService {
             max_bytes: config.memo_bytes,
             ..MemoConfig::default()
         });
-        let drift = DriftState::new(config.event_threads);
+        let drift = config
+            .catalog_faults
+            .as_ref()
+            .map(|_| Mutex::new(CatalogDrift::new(config.event_threads, config.catalog_lag)));
         QueryService {
             config,
             sys: SystemConfig::default(),
@@ -330,176 +291,60 @@ impl QueryService {
         }
     }
 
-    /// The STATS-frame snapshot: serving metrics merged with the memo
-    /// counters (zero when the memo is disabled) and the catalog drift
-    /// counters (zero until catalog faults arm the drift layer).
+    /// The STATS-frame snapshot: serving metrics, the memo counters
+    /// (zero when the memo is disabled) and the catalog drift counters
+    /// (zero unless catalog faults are armed).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        if let Some(memo) = self.memo() {
-            let m = memo.snapshot();
-            snap.memo_hits = m.hits;
-            snap.memo_misses = m.misses;
-            snap.memo_evictions = m.evictions;
-            snap.memo_bytes = m.bytes;
-        }
-        snap.catalog_epoch = self.drift.coordinator.load(Ordering::Acquire);
-        snap.catalog_refreshes = self.drift.refreshes.load(Ordering::Relaxed);
-        snap.catalog_stale_degraded = self.drift.stale_degraded.load(Ordering::Relaxed);
-        snap.catalog_stale_rejected = self.drift.stale_rejected.load(Ordering::Relaxed);
-        snap.catalog_epoch_regressions = self.drift.regressions.load(Ordering::Relaxed);
-        snap.catalog_max_lag = self.drift.max_lag.load(Ordering::Relaxed);
-        snap
+        let memo = self.memo().map(MemoTable::snapshot).unwrap_or_default();
+        self.metrics.snapshot(&memo, &self.drift_stats())
     }
 
-    /// The coordinator's current catalog epoch (0 until catalog faults
-    /// arm the drift layer).
-    pub fn catalog_epoch(&self) -> u64 {
-        self.drift.coordinator.load(Ordering::Acquire)
-    }
-
-    /// Torn (partial) epoch deliveries applied so far. Exposed for the
-    /// chaos harness; the STATS frame folds torn refreshes into
-    /// `catalog_refreshes`.
-    pub fn catalog_torn(&self) -> u64 {
-        self.drift.torn.load(Ordering::Relaxed)
+    fn drift_stats(&self) -> DriftStats {
+        self.drift
+            .as_ref()
+            .map(|d| lock(d).stats())
+            .unwrap_or_default()
     }
 
     /// The drift event trace recorded while catalog faults were armed
-    /// (empty otherwise, and capped — see `DRIFT_TRACE_CAP`).
-    /// `csqp-load` replays this through the `csqp-verify` drift pass
-    /// after a soak to prove no plan was served beyond the bound.
+    /// (empty otherwise, and capped — see
+    /// [`csqp_catalog::replica::DRIFT_TRACE_CAP`]). `csqp-load` replays
+    /// this through the `csqp-verify` drift pass after a soak to prove
+    /// no plan was served beyond the bound.
     pub fn drift_trace(&self) -> Vec<DriftEvent> {
-        lock(&self.drift.trace).clone()
+        self.drift
+            .as_ref()
+            .map(|d| lock(d).trace().to_vec())
+            .unwrap_or_default()
     }
 
     /// Advance the drift model for one admitted query and return the
     /// serving verdict, keyed by the request's own seed so the schedule
     /// is reproducible without any session state. `None` (faults
     /// unarmed) means the drift layer is inert. Called on the admitting
-    /// shard's thread; soaks that assert digest equality run queries
-    /// sequentially, which makes the whole drift trajectory a pure
+    /// shard's thread; the whole admission is one step under the drift
+    /// lock. Soaks that assert digest equality run queries sequentially
+    /// on one shard, which makes the whole drift trajectory a pure
     /// function of the request stream.
     pub(crate) fn catalog_verdict(
         &self,
         shard: usize,
         req: &QueryRequest,
     ) -> Option<CatalogVerdict> {
-        use csqp_net::chaos::CatalogFault;
         let plan = self.config.catalog_faults.as_ref()?;
-        let fault = plan.catalog_fault_for(req.seed);
-        let mut events: Vec<DriftEvent> = Vec::with_capacity(8);
-
-        // Coordinator side: every admission doubles as a mutation tick.
-        // A withheld refresh publishes a small burst so a single fault
-        // can push the replica past the default bound.
-        let publishes = match fault {
-            CatalogFault::WithheldRefresh => 1 + plan.catalog_rng_for(req.seed).derive(1).below(4),
-            _ => 1,
-        };
-        let mut coord = 0;
-        for _ in 0..publishes {
-            coord = self.drift.coordinator.fetch_add(1, Ordering::AcqRel) + 1;
-            events.push(DriftEvent::Publish { epoch: coord });
-            // Epoch publication invalidates the shared memo: entries
-            // priced under the old epoch must miss and recompute.
+        let delivery = plan.catalog_delivery_for(req.seed);
+        let can_downgrade = req.policy != Policy::QueryShipping;
+        let admission = lock(self.drift.as_ref()?).admit(shard, delivery, can_downgrade);
+        // Epoch publication invalidates the shared memo: entries priced
+        // under an older epoch must miss and recompute.
+        for _ in 0..admission.published {
             self.memo.bump_generation();
         }
-
-        // Replica side: the propagation step, with the fault's say.
-        let replica = &self.drift.replicas[shard % self.drift.replicas.len()];
-        let site = (shard % self.drift.replicas.len()) as u32;
-        let from = replica.load(Ordering::Acquire);
-        let mut poisoned = false;
-        match fault {
-            CatalogFault::None => {
-                replica.store(coord, Ordering::Release);
-                self.drift.refreshes.fetch_add(1, Ordering::Relaxed);
-                events.push(DriftEvent::Refresh {
-                    site,
-                    from,
-                    to: coord,
-                    applied: true,
-                });
-            }
-            CatalogFault::WithheldRefresh => {
-                // No delivery at all: the replica just falls behind.
-            }
-            CatalogFault::TornEpoch => {
-                // Partial apply: the delivery lands one delta short.
-                // `coord - 1 >= from` always holds — this query published
-                // exactly one epoch, so `from <= coord - 1`.
-                let to = coord - 1;
-                replica.store(to, Ordering::Release);
-                self.drift.refreshes.fetch_add(1, Ordering::Relaxed);
-                self.drift.torn.fetch_add(1, Ordering::Relaxed);
-                events.push(DriftEvent::Refresh {
-                    site,
-                    from,
-                    to,
-                    applied: true,
-                });
-            }
-            CatalogFault::ReorderedEpoch => {
-                // A stale delivery arrives after a newer one: the replica
-                // refuses the regression and keeps its epoch.
-                self.drift.regressions.fetch_add(1, Ordering::Relaxed);
-                events.push(DriftEvent::Refresh {
-                    site,
-                    from,
-                    to: from.saturating_sub(1),
-                    applied: false,
-                });
-            }
-            CatalogFault::PoisonedFraction => {
-                // The refresh lands but its cached-fraction state is
-                // garbage: the epoch is current, the pricing inputs are
-                // not, so the query must not plan against the cache.
-                replica.store(coord, Ordering::Release);
-                self.drift.refreshes.fetch_add(1, Ordering::Relaxed);
-                events.push(DriftEvent::Refresh {
-                    site,
-                    from,
-                    to: coord,
-                    applied: true,
-                });
-                events.push(DriftEvent::Poison { site });
-                poisoned = true;
-            }
-        }
-
-        // The serve decision: the degradation lattice of DESIGN.md §14.
-        let priced = replica.load(Ordering::Acquire);
-        let lag = coord.saturating_sub(priced);
-        self.drift.max_lag.fetch_max(lag, Ordering::AcqRel);
-        let verdict = if poisoned {
-            self.drift.stale_degraded.fetch_add(1, Ordering::Relaxed);
-            CatalogVerdict::Degrade
-        } else if lag <= self.config.catalog_lag {
-            CatalogVerdict::Fresh
-        } else if req.policy == Policy::QueryShipping {
-            self.drift.stale_rejected.fetch_add(1, Ordering::Relaxed);
-            CatalogVerdict::Reject { lag }
-        } else {
-            self.drift.stale_degraded.fetch_add(1, Ordering::Relaxed);
-            CatalogVerdict::Degrade
-        };
-        events.push(DriftEvent::Serve {
-            site,
-            priced_epoch: priced,
-            coordinator_epoch: coord,
-            lag,
-            action: match verdict {
-                CatalogVerdict::Fresh => DriftAction::Fresh,
-                CatalogVerdict::Degrade => DriftAction::Degraded,
-                CatalogVerdict::Reject { .. } => DriftAction::Rejected,
-            },
-        });
-
-        let mut trace = lock(&self.drift.trace);
-        if trace.len() + events.len() <= DRIFT_TRACE_CAP {
-            trace.extend(events);
-        }
-        Some(verdict)
+        Some(match admission.action {
+            DriftAction::Fresh => CatalogVerdict::Fresh,
+            DriftAction::Degraded => CatalogVerdict::Degrade,
+            DriftAction::Rejected => CatalogVerdict::Reject { lag: admission.lag },
+        })
     }
 
     /// Queries admitted but not yet finished (queued + executing).
@@ -694,16 +539,19 @@ impl QueryService {
         let plan_for = |policy: Policy| -> Result<csqp_core::Plan, ErrorFrame> {
             Ok(match req.optimizer {
                 OptimizerMode::TwoPhase => {
-                    // Mirrors runner::run_query exactly (same seed stream)
-                    // with the lint inserted between planning and execution.
-                    let model = runner::cost_model(&self.sys, &catalog, &query, &loads);
-                    let optimizer =
-                        Optimizer::new(&model, policy, req.objective, self.config.opt.clone());
-                    let mut rng = SimRng::seed_from_u64(req.seed);
-                    optimizer
-                        .optimize_guarded(&query, &mut rng, guard)
-                        .map_err(|r| stopped(r, "planning"))?
-                        .plan
+                    runner::plan_two_phase(
+                        &query,
+                        &catalog,
+                        &self.sys,
+                        &loads,
+                        policy,
+                        req.objective,
+                        &self.config.opt,
+                        req.seed,
+                        guard,
+                    )
+                    .map_err(|r| stopped(r, "planning"))?
+                    .plan
                 }
                 OptimizerMode::TwoStep => {
                     let planner = TwoStepPlanner {
@@ -1547,7 +1395,7 @@ mod tests {
             OptimizerMode::TwoPhase,
         );
         assert_eq!(quiet.catalog_verdict(0, &req), None);
-        assert_eq!(quiet.catalog_epoch(), 0);
+        assert_eq!(quiet.stats_snapshot().catalog_epoch, 0);
         assert!(quiet.drift_trace().is_empty());
 
         // Armed: the same seeded request stream produces the same
@@ -1576,15 +1424,73 @@ mod tests {
         let (va, vb) = (verdicts(&a), verdicts(&b));
         assert_eq!(va, vb, "same seeds, same drift trajectory");
         assert_eq!(a.drift_trace(), b.drift_trace());
-        assert!(a.catalog_epoch() >= 64, "every query publishes");
+        // Pinned digest of this seeded stream's trace: the drift model
+        // may be restructured, but the history it records may not move.
+        let trace = a.drift_trace();
+        let digest = fnv1a(format!("{trace:?}").as_bytes());
+        assert_eq!(
+            (trace.len(), digest),
+            (208, 0x0984_e7a2_a05f_1543),
+            "drift-trace golden"
+        );
         assert!(va.iter().all(|v| v.is_some()));
         // The mix must exercise both sides of the lattice.
         assert!(va.contains(&Some(CatalogVerdict::Fresh)));
         assert!(va.contains(&Some(CatalogVerdict::Degrade)));
         let stats = a.stats_snapshot();
-        assert_eq!(stats.catalog_epoch, a.catalog_epoch());
+        assert!(stats.catalog_epoch >= 64, "every query publishes");
         assert!(stats.catalog_refreshes > 0);
         assert!(stats.catalog_max_lag > 1, "withheld bursts push past lag 1");
+    }
+
+    #[test]
+    fn two_shards_racing_record_a_trace_that_audits_clean() {
+        // Each admission publishes, refreshes and records its events as
+        // one step. Two shards admitting at once must still leave a
+        // trace whose every event group reads in the order it happened.
+        use csqp_net::chaos::FaultPlan;
+        const PER_SHARD: u64 = 9_000;
+        let service = QueryService::new(ServerConfig {
+            event_threads: 2,
+            catalog_lag: 2,
+            catalog_faults: Some(FaultPlan::new(0xD81F7, 0.5)),
+            ..ServerConfig::default()
+        });
+        let spec = WorkloadSpec::Chain {
+            n: 2,
+            selectivity: csqp_workload::MODERATE_SEL,
+        };
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for shard in 0..2usize {
+                let (service, spec, start) = (&service, &spec, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_SHARD {
+                        let mut req = request(
+                            spec.clone(),
+                            Policy::ALL[i as usize % 3],
+                            OptimizerMode::TwoPhase,
+                        );
+                        req.seed = (shard as u64) << 32 | i;
+                        let _ = service.catalog_verdict(shard, &req);
+                    }
+                });
+            }
+        });
+        let trace = service.drift_trace();
+        assert!(
+            trace.len() < csqp_catalog::replica::DRIFT_TRACE_CAP,
+            "the whole run must fit under the trace cap ({} events)",
+            trace.len()
+        );
+        let audit = csqp_verify::catalog::check_drift(&trace, 2);
+        assert!(
+            audit.is_clean(),
+            "{} findings, first: {}",
+            audit.len(),
+            audit.to_string().lines().next().unwrap_or_default()
+        );
     }
 
     #[test]

@@ -219,6 +219,14 @@ fn catalog_fault_soak_same_seed_same_drift_across_fresh_servers() {
             trace_a, trace_b,
             "same seed, same drift trajectory on {reactor}"
         );
+        // Pinned digest of the seed-21 trace: the drift model may be
+        // restructured, but the history it records may not move.
+        let trace_digest = csqp_serve::server::fnv1a(format!("{trace_a:?}").as_bytes());
+        assert_eq!(
+            (trace_a.len(), trace_digest),
+            (71, 0x2616_45b6_973a_d023),
+            "{reactor}: seed-21 drift-trace golden"
+        );
         match &golden {
             None => golden = Some((a.digest, trace_a)),
             Some((digest, trace)) => {

@@ -71,7 +71,7 @@ fn loopback_load_serves_queries_deterministically() {
         36,
         "every served plan was linted before execution"
     );
-    let snap = metrics.snapshot();
+    let snap = server.service().stats_snapshot();
     assert_eq!(snap.per_policy.iter().sum::<u64>(), 36);
     assert!(snap.wire.bytes_sent > 0, "queries shipped bytes: {snap:?}");
 
@@ -145,8 +145,11 @@ fn stats_and_error_frames_work_over_the_wire() {
     }
 
     // A client sending a server-to-client frame gets a typed error.
-    let reply =
-        roundtrip(&mut stream, &Frame::Stats(server.metrics().snapshot())).expect("bad direction");
+    let reply = roundtrip(
+        &mut stream,
+        &Frame::Stats(server.service().stats_snapshot()),
+    )
+    .expect("bad direction");
     match reply {
         Frame::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest),
         other => panic!("expected ERROR, got {:?}", other.kind()),

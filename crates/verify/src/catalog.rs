@@ -1,13 +1,13 @@
 //! Drift-conformance pass over a recorded catalog drift trace.
 //!
-//! The serving stack replicates the catalog per shard site behind a
-//! coordinator/replica epoch model (DESIGN.md §14): mutations publish
-//! monotone epochs, replicas refresh through a fault-injectable
-//! propagation step, and every admitted query is served *fresh*,
-//! *degraded* to QS, or *rejected* according to how far its shard's
-//! replica trailed the coordinator. While catalog faults are armed the
-//! server records a [`DriftEvent`] trace; this pass replays that trace
-//! and proves the degradation lattice was honored:
+//! The serving stack models catalog drift as coordinator and per-shard
+//! replica epochs (`csqp_catalog::CatalogDrift`, DESIGN.md §14): the
+//! coordinator publishes monotone epochs, replicas refresh through a
+//! fault-injectable delivery, and every admitted query is served
+//! *fresh*, *degraded* to QS, or *rejected* according to how far its
+//! shard's replica trailed the coordinator. While catalog faults are
+//! armed the state machine records a [`DriftEvent`] trace; this pass
+//! replays that trace and proves the degradation lattice was honored:
 //!
 //! * **no stale serve** — a query recorded as served `Fresh` while its
 //!   replica trailed the coordinator by more than the staleness bound
@@ -21,8 +21,8 @@
 //!   a mismatch means the serve decision priced against state it did
 //!   not actually hold — [`DiagCode::CatalogLagBound`].
 //!
-//! The trace is audited as a *prefix* of the drift history (the server
-//! caps the trace by dropping whole queries from the tail), so every
+//! The trace is audited as a *prefix* of the drift history (the state
+//! machine caps the trace by dropping whole admissions from the tail), so every
 //! event the pass sees carries enough context to be checked without the
 //! events that were dropped after it.
 

@@ -54,7 +54,7 @@
 //! and Table-1 conformant, generations are sane, and proved costs are
 //! finite — so a memo hit can never serve what a cold optimization
 //! could not (`csqp-check --memo`). The [`catalog`] pass replays a
-//! recorded catalog drift trace and proves the replication layer's
+//! recorded catalog drift trace and proves the drift model's
 //! degradation lattice was honored: no query served fresh past the
 //! staleness bound, no replica epoch regression ever applied, lag
 //! accounting faithful (`csqp-check --catalog`). The [`bounds`] pass

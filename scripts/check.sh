@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace --release (every test in every crate)"
+cargo test --workspace --release
+
 echo "==> csqp-check: random sweep + optimizer traces + negative fixtures"
 cargo run --release --bin csqp-check -- --plans 1000
 
@@ -80,7 +83,7 @@ done
 echo "==> bench-reactor: idle+active run per backend (BENCH_reactor.json)"
 cargo run --release --bin csqp-load -- --serve --bench-reactor --clients 4 --queries 32 --seed 42 --min-qps 25
 
-echo "==> csqp-check --catalog: replication drift replay + seeded mutants"
+echo "==> csqp-check --catalog: catalog drift state machine + seeded mutants"
 cargo run --release --bin csqp-check -- --catalog
 
 echo "==> catalog-chaos: stale-catalog fault soaks across fresh servers"

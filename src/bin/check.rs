@@ -50,14 +50,15 @@
 //!    `csqp_verify::memo::check_memo` over every live entry
 //!    (fingerprints re-derive from witnesses, plans stay Table-1
 //!    conformant, generations and costs are sane).
-//! 7. **Catalog drift** (`--catalog`) — replay a seeded catalog-fault
-//!    schedule (withheld, torn, reordered, poisoned deliveries) against
-//!    a `ReplicatedCatalog`, twice, asserting byte-identical drift
-//!    digests; run the `csqp_verify::catalog::check_drift` pass over
-//!    the recorded trace; prove an epoch publication forces a memo
-//!    recompute; and plant three seeded mutants (over-lag fresh serve,
-//!    applied epoch regression, lag misaccounting), each of which must
-//!    be caught with its typed diagnostic.
+//! 7. **Catalog drift** (`--catalog`) — drive a seeded catalog-fault
+//!    schedule (withheld, torn, reordered, poisoned deliveries) through
+//!    `csqp_catalog::CatalogDrift`, the state machine the server runs,
+//!    twice, asserting byte-identical drift digests; run the
+//!    `csqp_verify::catalog::check_drift` pass over the recorded trace;
+//!    prove an epoch publication forces a memo recompute; and plant
+//!    three seeded mutants (over-lag fresh serve, applied epoch
+//!    regression, lag misaccounting), each of which must be caught with
+//!    its typed diagnostic.
 //! 8. **Bound soundness** (`--bounds`) — derive guaranteed worst-case
 //!    intermediate-size bounds (`csqp_verify::bounds`) for every
 //!    optimizer-produced plan across all policies × objectives and for
@@ -764,144 +765,46 @@ fn memo_consistency(args: &Args) -> usize {
     failures
 }
 
-/// Stage 7: seeded catalog drift replay over the replication layer, the
-/// drift-conformance pass, the epoch→memo invalidation proof, and three
-/// planted mutants that must each be caught with its typed diagnostic.
+/// Stage 7: a seeded catalog-fault schedule driven through the serving
+/// stack's own drift state machine, the drift-conformance pass, the
+/// epoch→memo invalidation proof, and three planted mutants that must
+/// each be caught with its typed diagnostic.
 fn catalog_consistency(args: &Args) -> usize {
-    use csqp::catalog::{CatalogEpoch, DriftAction, DriftEvent, ReplicatedCatalog};
+    use csqp::catalog::{CatalogDrift, Delivery, DriftAction, DriftEvent};
     use csqp::memo::{Env, MemoConfig, MemoTable};
-    use csqp::net::chaos::{CatalogFault, FaultPlan};
+    use csqp::net::chaos::FaultPlan;
     use csqp::optimizer::{CompileTimeAssumption, MemoOutcome, TwoStepPlanner};
     use csqp::serve::server::fnv1a;
     use csqp::verify::catalog::check_drift;
     use csqp::workload::WorkloadSpec;
 
     let mut failures = 0usize;
-    let servers = args.servers.max(1);
+    let servers = args.servers.max(1) as usize;
     let bound = 2u64;
     const QUERIES: u64 = 256;
 
-    // One full drift replay: every seeded query ticks the coordinator
-    // (withheld refreshes tick it in a burst — the same escalation the
-    // server's drift model uses), delivers or withholds a propagation
-    // step at a rotating site, and records the serve decision the
-    // degradation lattice dictates.
+    // One full drift run: every seeded query is admitted at a rotating
+    // site with the delivery its fault draws, exactly as a serving shard
+    // admits it. Every third query stands in for a QS request (nothing
+    // left to downgrade to); the rest can degrade.
     let replay = || {
-        let query = ten_way();
-        let mut rng = SimRng::seed_from_u64(args.seed);
-        let base = random_placement(&query, servers, &mut rng);
-        let mut rc = ReplicatedCatalog::new(base, bound);
         let plan = FaultPlan::new(args.seed, 0.5);
-        let mut trace: Vec<DriftEvent> = Vec::new();
+        let mut drift = CatalogDrift::new(servers, bound);
         for i in 0..QUERIES {
             let seed = args.seed ^ i.wrapping_mul(0x9E37_79B9);
-            let fault = plan.catalog_fault_for(seed);
-            let site = SiteId::server(1 + (i % u64::from(servers)) as u32);
-            let rel = RelId((i % query.num_relations() as u64) as u32);
-            let publishes = match fault {
-                CatalogFault::WithheldRefresh => 1 + plan.catalog_rng_for(seed).derive(1).below(4),
-                _ => 1,
-            };
-            for p in 0..publishes {
-                let fraction = 0.25 + 0.5 * (((i + p as u64) % 3) as f64) / 3.0;
-                let epoch = rc.set_cached_fraction(rel, fraction);
-                trace.push(DriftEvent::Publish { epoch: epoch.0 });
-            }
-            let coord = rc.coordinator().epoch();
-            let from = rc.replica(site).map_or(0, |r| r.epoch().0);
-            match fault {
-                CatalogFault::None => {
-                    if let Some(e) = rc.propagate(site) {
-                        trace.push(DriftEvent::Refresh {
-                            site: site.0,
-                            from,
-                            to: e.0,
-                            applied: true,
-                        });
-                    }
-                }
-                CatalogFault::WithheldRefresh => {}
-                CatalogFault::TornEpoch => {
-                    // Partial delivery: the refresh lands one epoch short
-                    // of the coordinator (never behind the replica).
-                    let torn = CatalogEpoch(coord.0.saturating_sub(1).max(from));
-                    if let Some(Ok(e)) = rc.deliver_at(site, torn) {
-                        trace.push(DriftEvent::Refresh {
-                            site: site.0,
-                            from,
-                            to: e.0,
-                            applied: true,
-                        });
-                    }
-                }
-                CatalogFault::ReorderedEpoch => {
-                    // A delivery from the past arrives late; the replica
-                    // must refuse the regression.
-                    let old = CatalogEpoch(from.saturating_sub(1));
-                    match rc.deliver_at(site, old) {
-                        Some(Ok(e)) => trace.push(DriftEvent::Refresh {
-                            site: site.0,
-                            from,
-                            to: e.0,
-                            applied: true,
-                        }),
-                        _ => trace.push(DriftEvent::Refresh {
-                            site: site.0,
-                            from,
-                            to: old.0,
-                            applied: false,
-                        }),
-                    }
-                }
-                CatalogFault::PoisonedFraction => {
-                    if let Some(e) = rc.propagate(site) {
-                        trace.push(DriftEvent::Refresh {
-                            site: site.0,
-                            from,
-                            to: e.0,
-                            applied: true,
-                        });
-                    }
-                    if let Some(r) = rc.replica_mut(site) {
-                        r.poison();
-                    }
-                    trace.push(DriftEvent::Poison { site: site.0 });
-                }
-            }
-            let priced = rc.replica(site).map_or(0, |r| r.epoch().0);
-            let lag = rc.lag(site).unwrap_or(0);
-            let poisoned = rc.replica(site).is_some_and(|r| r.is_poisoned());
-            // Every third query stands in for a QS request (nothing left
-            // to downgrade to); the rest can degrade.
-            let action = if poisoned {
-                DriftAction::Degraded
-            } else if lag <= bound {
-                DriftAction::Fresh
-            } else if i % 3 == 0 {
-                DriftAction::Rejected
-            } else {
-                DriftAction::Degraded
-            };
-            trace.push(DriftEvent::Serve {
-                site: site.0,
-                priced_epoch: priced,
-                coordinator_epoch: coord.0,
-                lag,
-                action,
-            });
+            drift.admit(
+                i as usize % servers,
+                plan.catalog_delivery_for(seed),
+                i % 3 != 0,
+            );
         }
-        let mut rendered = String::new();
-        for e in &trace {
-            rendered.push_str(&format!("{e:?};"));
-        }
-        let digest = fnv1a(rendered.as_bytes());
-        let coord = rc.coordinator().epoch().0;
-        let replica1 = rc.replica(SiteId::server(1)).map_or(0, |r| r.epoch().0);
-        (trace, digest, coord, replica1)
+        let trace = drift.trace().to_vec();
+        let digest = fnv1a(format!("{trace:?}").as_bytes());
+        (trace, digest, drift.stats().epoch, drift.replica_epoch(0))
     };
 
     // Same seed, same drift trajectory, byte-identical digest.
-    let (trace, digest_a, coord, replica1) = replay();
+    let (trace, digest_a, coord, replica0) = replay();
     let (_, digest_b, ..) = replay();
     if digest_a != digest_b {
         eprintln!("FAIL drift replay diverged: {digest_a:016x} vs {digest_b:016x}");
@@ -937,8 +840,8 @@ fn catalog_consistency(args: &Args) -> usize {
         failures += report.len();
     }
 
-    // An epoch publication must force a memo recompute: this is the
-    // invalidation contract the server wires `bump_generation` to.
+    // An epoch publication must force a memo recompute: the server bumps
+    // the memo generation once per epoch an admission publishes.
     {
         let table = MemoTable::new(MemoConfig::default());
         let spec = WorkloadSpec::Chain {
@@ -948,7 +851,7 @@ fn catalog_consistency(args: &Args) -> usize {
         let query = spec.build();
         let env = Env {
             placement_seed: args.seed,
-            num_servers: servers.min(spec.num_relations()).max(1),
+            num_servers: args.servers.min(spec.num_relations()).max(1),
         };
         let planner = TwoStepPlanner {
             policy: Policy::ALL[0],
@@ -972,13 +875,10 @@ fn catalog_consistency(args: &Args) -> usize {
             eprintln!("FAIL catalog/memo warmup never hit");
             failures += 1;
         }
-        // Publish an epoch the way the coordinator does, and apply the
-        // server's wiring: publication bumps the memo generation.
-        let mut rng = SimRng::seed_from_u64(args.seed);
-        let base = random_placement(&query, servers.min(spec.num_relations()).max(1), &mut rng);
-        let mut rc = ReplicatedCatalog::new(base, bound);
-        let _ = rc.set_cached_fraction(RelId(0), 0.5);
-        table.bump_generation();
+        let admission = CatalogDrift::new(1, bound).admit(0, Delivery::Full, true);
+        for _ in 0..admission.published {
+            table.bump_generation();
+        }
         if compile() != MemoOutcome::Miss {
             eprintln!("FAIL epoch publication did not force a memo recompute");
             failures += 1;
@@ -1004,10 +904,10 @@ fn catalog_consistency(args: &Args) -> usize {
                 }
                 let new_coord = coord + bound + 1;
                 t.push(DriftEvent::Serve {
-                    site: 1,
-                    priced_epoch: replica1,
+                    site: 0,
+                    priced_epoch: replica0,
                     coordinator_epoch: new_coord,
-                    lag: new_coord - replica1,
+                    lag: new_coord - replica0,
                     action: DriftAction::Fresh,
                 });
                 t
@@ -1019,9 +919,9 @@ fn catalog_consistency(args: &Args) -> usize {
             {
                 let mut t = trace.clone();
                 t.push(DriftEvent::Refresh {
-                    site: 1,
-                    from: replica1,
-                    to: replica1.saturating_sub(1),
+                    site: 0,
+                    from: replica0,
+                    to: replica0.saturating_sub(1),
                     applied: true,
                 });
                 t
@@ -1033,21 +933,21 @@ fn catalog_consistency(args: &Args) -> usize {
             {
                 let mut t = trace.clone();
                 t.push(DriftEvent::Serve {
-                    site: 1,
-                    priced_epoch: replica1,
+                    site: 0,
+                    priced_epoch: replica0,
                     coordinator_epoch: coord,
-                    lag: (coord - replica1) + 1,
+                    lag: (coord - replica0) + 1,
                     action: DriftAction::Degraded,
                 });
                 t
             },
         ),
     ];
-    if replica1 == 0 {
+    if replica0 == 0 {
         // The regression mutant needs a replica that has refreshed at
         // least once; with 256 seeded queries this cannot happen unless
         // the fault plan itself broke.
-        eprintln!("FAIL site 1 never refreshed across the whole replay");
+        eprintln!("FAIL site 0 never refreshed across the whole replay");
         failures += 1;
     }
     for (what, code, mutated) in &mutants {

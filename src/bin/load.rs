@@ -43,7 +43,7 @@
 //! the matching seeded plan, and the soak accounts every mangled reply
 //! deterministically.
 //!
-//! `--catalog-faults` arms the replicated catalog instead (requires
+//! `--catalog-faults` arms the catalog drift model instead (requires
 //! `--serve`; the soak manages its own pair of inline servers): each
 //! server drives its per-shard replica epochs from the matching seeded
 //! plan (withheld refreshes, torn and reordered deliveries, poisoned
