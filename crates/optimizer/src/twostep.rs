@@ -68,14 +68,6 @@ impl CompileTimeAssumption {
     }
 }
 
-/// Plans produced for one query by the three §5 strategies.
-#[derive(Debug, Clone)]
-pub struct PrecompiledPlans {
-    /// The compile-time plan (join order + annotations) — executed as-is
-    /// by the static strategy, merely re-bound at runtime.
-    pub static_plan: Plan,
-}
-
 /// Produces compile-time plans and performs runtime site selection.
 pub struct TwoStepPlanner {
     /// Policy of the search space (the §5 experiments use hybrid).
@@ -142,24 +134,6 @@ impl TwoStepPlanner {
         opt.site_selection(start, rng).plan
     }
 
-    /// Cancellable [`TwoStepPlanner::site_select`]: probes `guard` between
-    /// annotation moves so the serving layer can abandon dead work.
-    #[allow(clippy::too_many_arguments)]
-    pub fn site_select_guarded(
-        &self,
-        compiled: &Plan,
-        query: &QuerySpec,
-        sys: &SystemConfig,
-        runtime_catalog: &Catalog,
-        rng: &mut SimRng,
-        guard: &csqp_core::CancelToken,
-    ) -> Result<Plan, csqp_core::StopReason> {
-        let model = CostModel::new(sys, runtime_catalog, query, SiteId::CLIENT);
-        let opt = Optimizer::new(&model, self.policy, self.objective, self.config.clone());
-        let start = clamp_to_topology(compiled, query, runtime_catalog);
-        Ok(opt.site_selection_guarded(start, rng, guard)?.plan)
-    }
-
     /// Memoizing [`TwoStepPlanner::compile`]: probe the memo's compiled
     /// layer, optimize cold on a miss and install. The compile RNG stream
     /// is seeded from the probe fingerprint, so the cold plan for a key is
@@ -190,8 +164,8 @@ impl TwoStepPlanner {
         }
     }
 
-    /// Memoizing [`TwoStepPlanner::site_select_guarded`]: probe the memo's
-    /// winner layer for this (policy × objective × cache-bucket) cell,
+    /// Memoizing, cancellable [`TwoStepPlanner::site_select`]: probe the
+    /// memo's winner layer for this (policy × objective × cache-bucket) cell,
     /// anneal cold on a miss and install the winner with its proved cost.
     ///
     /// Determinism contract: the annealing stream is seeded from the probe
@@ -200,8 +174,9 @@ impl TwoStepPlanner {
     /// a hit is byte-identical to a cold optimization of the same key,
     /// which debug builds enforce on every hit.
     ///
-    /// The guard is probed before the memo, so a cancelled or expired
-    /// request fails identically whether the table is warm or cold.
+    /// The guard is probed before the memo and between annotation moves,
+    /// so a cancelled or expired request fails identically whether the
+    /// table is warm or cold, and the serving layer can abandon dead work.
     #[allow(clippy::too_many_arguments)]
     pub fn site_select_memoized(
         &self,

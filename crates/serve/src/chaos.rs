@@ -147,7 +147,7 @@ impl ChaosReport {
         self.conservation && self.probes_ok && self.client_errors == 0
     }
 
-    /// Render the human report printed by `csqp-load --chaos`.
+    /// Render the human-readable soak report.
     pub fn render(&self) -> String {
         format!(
             "exchanges {}\nreplies   {}\ndropped   {}\nmangled   {}\nfaults    {}\nclient-io-errors {}\nserver    submitted {}  served {}  rejected {}  errors {}  aborted {}  timed-out {}  degraded {}\nconservation {}\nprobes    {}\ndigest    {:016x}",
@@ -501,50 +501,51 @@ mod tests {
 
     #[test]
     fn reply_fault_soak_accounts_every_exchange() {
-        let seed = 0xFEED_FACE;
-        let intensity = 0.7;
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            queue_depth: 8,
-            reply_faults: Some(FaultPlan::new(seed, intensity)),
-            ..ServerConfig::default()
-        };
-        let server = Server::bind(config)
-            .expect("bind loopback")
-            .spawn()
-            .expect("spawn server");
-        let cfg = ChaosConfig {
-            addr: server.addr().to_string(),
-            seed,
-            intensity,
-            schedules: 2,
-            queries_per_schedule: 10,
-            reply_faults: true,
-            ..ChaosConfig::default()
-        };
-        let report = run_chaos(&cfg).expect("soak completes");
-        assert!(
-            report.mangled > 0,
-            "intensity 0.7 mangles something in 20 replies:\n{}",
-            report.render()
-        );
-        assert_eq!(
-            report.replies + report.dropped + report.mangled,
-            report.queries_sent,
-            "every exchange lands in exactly one bucket:\n{}",
-            report.render()
-        );
-        assert!(
-            report.healthy(),
-            "server stays healthy:\n{}",
-            report.render()
-        );
-        // Mangled replies are deterministic too: same seed, same digest.
-        let again = run_chaos(&cfg).expect("second soak");
-        assert_eq!(report.digest, again.digest);
-        assert_eq!(report.mangled, again.mangled);
-        server.shutdown();
+        for (seed, intensity) in [(0xFEED_FACE, 0.7), (21, 0.6)] {
+            let config = ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 2,
+                queue_depth: 8,
+                reply_faults: Some(FaultPlan::new(seed, intensity)),
+                ..ServerConfig::default()
+            };
+            let server = Server::bind(config)
+                .expect("bind loopback")
+                .spawn()
+                .expect("spawn server");
+            let cfg = ChaosConfig {
+                addr: server.addr().to_string(),
+                seed,
+                intensity,
+                schedules: 2,
+                queries_per_schedule: 10,
+                reply_faults: true,
+                ..ChaosConfig::default()
+            };
+            let report = run_chaos(&cfg).expect("soak completes");
+            assert!(
+                report.mangled > 0,
+                "seed {seed}: intensity {intensity} mangles something in 20 replies:\n{}",
+                report.render()
+            );
+            assert_eq!(
+                report.replies + report.dropped + report.mangled,
+                report.queries_sent,
+                "seed {seed}: every exchange lands in exactly one bucket:\n{}",
+                report.render()
+            );
+            assert!(
+                report.healthy(),
+                "seed {seed}: server stays healthy:\n{}",
+                report.render()
+            );
+            // Mangled replies are deterministic too: same seed, same digest.
+            let again = run_chaos(&cfg).expect("second soak");
+            assert_eq!(report.digest, again.digest, "seed {seed}");
+            assert_eq!(report.mangled, again.mangled, "seed {seed}");
+            assert!(again.healthy(), "seed {seed}:\n{}", again.render());
+            server.shutdown();
+        }
     }
 
     #[test]

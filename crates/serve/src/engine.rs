@@ -255,7 +255,7 @@ const WAKER_TOKEN: u64 = u64::MAX;
 /// reactor that watches them.
 pub(crate) struct Shard {
     /// This shard's index — the "site" its catalog replica lives at in
-    /// the drift model (see `QueryService::catalog_verdict`).
+    /// the drift model (see `QueryService::catalog_admission`).
     index: usize,
     service: Arc<QueryService>,
     submit: SyncSender<Job>,
@@ -508,9 +508,9 @@ impl Shard {
             None
         };
         // The drift model ticks at admission time, on the shard thread,
-        // so the verdict reflects exactly the replica state this query
+        // so the admission reflects exactly the replica state this query
         // was admitted under (inert unless catalog faults are armed).
-        let catalog = service.catalog_verdict(self.index, &req);
+        let catalog = service.catalog_admission(self.index, &req);
         let job = Job {
             req,
             reply: ReplySink {

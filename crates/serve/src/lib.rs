@@ -21,9 +21,9 @@
 //! - [`metrics`] — thread-safe counters behind the STATS frame;
 //! - [`load`] — the `csqp-load` client: concurrent seeded load with a
 //!   latency-percentile report;
-//! - [`chaos`] — the seeded fault-injection soak harness behind
-//!   `csqp-load --chaos`, asserting the no-panic / no-leak /
-//!   conservation / same-seed-same-digest invariants.
+//! - [`chaos`] — the seeded fault-injection soak harness the chaos
+//!   tests drive, checking the no-panic / no-leak / conservation /
+//!   same-seed-same-digest invariants.
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
@@ -39,4 +39,4 @@ pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use load::{run_load, IssuedQuery, LoadConfig, LoadReport, PipelineWindow};
 pub use metrics::ServerMetrics;
 pub use proto::{Frame, OptimizerMode, QueryRequest, ResultRecord, WireError};
-pub use server::{CatalogVerdict, QueryService, Server, ServerConfig, ServerHandle};
+pub use server::{QueryService, Server, ServerConfig, ServerHandle};

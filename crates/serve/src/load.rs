@@ -15,11 +15,11 @@
 //! results. [`LoadReport::digest`] folds every RESULT payload into an
 //! order-independent checksum for exactly that comparison.
 //!
-//! With [`LoadConfig::pipeline`] > 1 each connection keeps a window of
-//! queries outstanding and re-associates replies by request id with a
-//! [`PipelineWindow`] — replies may complete in any order; the digest is
-//! order-independent, so pipelined and stop-and-wait runs of the same
-//! seed produce the same digest.
+//! Each connection keeps a window of [`LoadConfig::pipeline`] queries
+//! outstanding (1 is stop-and-wait) and re-associates replies by request
+//! id with a [`PipelineWindow`] — replies may complete in any order; the
+//! digest is order-independent, so runs of the same seed produce the same
+//! digest at any window depth, with or without retried rejects.
 
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -32,10 +32,9 @@ use csqp_workload::{WorkloadSpec, HISEL_SEL, MODERATE_SEL};
 
 use crate::metrics::percentile_us;
 use crate::proto::{
-    read_frame, write_frame, ErrorCode, Frame, Hello, OptimizerMode, QueryRequest, ResultRecord,
-    WireError,
+    write_frame, ErrorCode, Frame, Hello, OptimizerMode, QueryRequest, ResultRecord, WireError,
 };
-use crate::server::{fnv1a, roundtrip};
+use crate::server::{fnv1a, read_next, roundtrip};
 
 /// What the load generator should do.
 #[derive(Debug, Clone)]
@@ -62,7 +61,8 @@ pub struct LoadConfig {
     pub rate: Option<f64>,
     /// On a saturation reject, honor the retry-after hint — with capped
     /// exponential backoff and seeded jitter — and resend the same query
-    /// (otherwise count it and move on).
+    /// under the same id, at any window depth (otherwise count it and
+    /// move on).
     pub retry_rejected: bool,
     /// Retry attempts per query before giving up on a saturated server.
     pub max_retries: u32,
@@ -73,8 +73,7 @@ pub struct LoadConfig {
     pub deadline_ms: Option<u64>,
     /// Queries each connection keeps outstanding before reading replies
     /// (clamped to the window the server advertises in HELLO-ACK). 1 is
-    /// stop-and-wait. With a window open, `retry_rejected` is ignored —
-    /// rejects are counted, not resent.
+    /// stop-and-wait. A retried query keeps its slot in the window.
     pub pipeline: usize,
 }
 
@@ -287,6 +286,7 @@ impl PipelineWindow {
     }
 }
 
+#[derive(Default)]
 struct ClientTally {
     queries: u64,
     rejected: u64,
@@ -318,6 +318,13 @@ fn fold_digest(digest: u64, client: u64, index: u64, record: &ResultRecord) -> u
     digest.wrapping_add(fnv1a(&keyed))
 }
 
+/// Salt of a query's retry-jitter stream ("RETRY"), mixed into its seed.
+const RETRY_SALT: u64 = 0x52_45_54_52_59;
+
+/// One connection's session: keep up to the window of queries
+/// outstanding (a window of 1 is stop-and-wait), re-associate each reply
+/// by id through a [`PipelineWindow`], and drain the window before
+/// saying BYE.
 fn run_client(cfg: &LoadConfig, client: u64, deadline: Instant) -> Result<ClientTally, WireError> {
     let mut stream = TcpStream::connect(&cfg.addr)?;
     stream.set_nodelay(true)?;
@@ -335,139 +342,13 @@ fn run_client(cfg: &LoadConfig, client: u64, deadline: Instant) -> Result<Client
             )))
         }
     };
-    let mut tally = ClientTally {
-        queries: 0,
-        rejected: 0,
-        errors: 0,
-        retries: 0,
-        timed_out: 0,
-        degraded: 0,
-        latencies_us: Vec::new(),
-        digest: 0,
-        per_policy: [0; 3],
-    };
-    let window_depth = cfg.pipeline.clamp(1, advertised);
-    if window_depth > 1 {
-        run_client_pipelined(cfg, client, deadline, &mut stream, window_depth, &mut tally)?;
-        let _ = roundtrip(&mut stream, &Frame::Bye)
-            .map(|_| ())
-            .or::<()>(Ok(()));
-        return Ok(tally);
-    }
+    let mut tally = ClientTally::default();
+    let mut window = PipelineWindow::new(cfg.pipeline.clamp(1, advertised));
+    // Queries a saturation reject bounced: attempts so far and the
+    // seeded jitter stream, by request id.
+    let mut retrying: HashMap<u64, (u32, SimRng)> = HashMap::new();
     let start = Instant::now();
     let interval = cfg.rate.map(|r| Duration::from_secs_f64(1.0 / r.max(1e-9)));
-    let mut index = 0u64;
-    loop {
-        match cfg.queries_per_client {
-            Some(count) => {
-                if index >= count {
-                    break;
-                }
-            }
-            None => {
-                if Instant::now() >= deadline {
-                    break;
-                }
-            }
-        }
-        // Open loop: wait for this query's arrival slot.
-        if let Some(step) = interval {
-            let slot = start + step.mul_f64(index as f64);
-            let now = Instant::now();
-            if slot > now {
-                std::thread::sleep(slot - now);
-            }
-        }
-        let req = nth_request(cfg, client, index);
-        let policy = req.policy;
-        let issued = Instant::now();
-        let mut reply = roundtrip(&mut stream, &Frame::Query(req.clone()))?;
-        // Honor retry-after on saturation if asked to: back off by the
-        // server's hint, doubling per attempt up to the configured cap,
-        // with seeded jitter so the retry schedule stays deterministic
-        // per (seed, client, index) yet desynchronized across clients.
-        if cfg.retry_rejected {
-            let mut retry_rng = SimRng::seed_from_u64(req.seed ^ 0x52_45_54_52_59); // "RETRY"
-            let mut attempt = 0u32;
-            while let Frame::Error(e) = &reply {
-                if e.code != ErrorCode::Saturated || attempt >= cfg.max_retries {
-                    break;
-                }
-                tally.rejected += 1;
-                let hint = e.retry_after_ms.unwrap_or(10);
-                std::thread::sleep(retry_backoff(
-                    hint,
-                    attempt,
-                    cfg.backoff_cap_ms,
-                    &mut retry_rng,
-                ));
-                attempt += 1;
-                tally.retries += 1;
-                reply = roundtrip(&mut stream, &Frame::Query(req.clone()))?;
-            }
-        }
-        match reply {
-            Frame::Result(record) => {
-                let lat = issued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                tally.queries += 1;
-                tally.per_policy[policy_slot(policy)] += 1;
-                tally.latencies_us.push(lat);
-                if record.degraded_from.is_some() {
-                    tally.degraded += 1;
-                }
-                tally.digest = fold_digest(tally.digest, client, index, &record);
-            }
-            Frame::Error(e) if e.code == ErrorCode::Saturated => tally.rejected += 1,
-            Frame::Error(e) if e.code == ErrorCode::DeadlineExceeded => tally.timed_out += 1,
-            Frame::Error(_) => tally.errors += 1,
-            other => {
-                return Err(WireError::Io(std::io::Error::other(format!(
-                    "unexpected reply frame {:?}",
-                    other.kind()
-                ))));
-            }
-        }
-        index += 1;
-    }
-    let _ = roundtrip(&mut stream, &Frame::Bye)
-        .map(|_| ())
-        .or::<()>(Ok(()));
-    Ok(tally)
-}
-
-/// Block until the next frame arrives (between-frame read timeouts mean
-/// the server is still computing).
-fn read_next(stream: &mut TcpStream) -> Result<Frame, WireError> {
-    loop {
-        match read_frame(stream) {
-            Err(WireError::TimedOut) => continue,
-            Ok(Some(f)) => return Ok(f),
-            Ok(None) => {
-                return Err(WireError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                )))
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// The pipelined session loop: keep up to `depth` queries outstanding,
-/// re-associate each reply by id through a [`PipelineWindow`], and drain
-/// the window before returning. Saturation rejects are counted, never
-/// retried (a retry would reorder the deterministic issue schedule).
-fn run_client_pipelined(
-    cfg: &LoadConfig,
-    client: u64,
-    deadline: Instant,
-    stream: &mut TcpStream,
-    depth: usize,
-    tally: &mut ClientTally,
-) -> Result<(), WireError> {
-    let start = Instant::now();
-    let interval = cfg.rate.map(|r| Duration::from_secs_f64(1.0 / r.max(1e-9)));
-    let mut window = PipelineWindow::new(depth);
     let mut index = 0u64;
     let done_issuing = |index: u64| match cfg.queries_per_client {
         Some(count) => index >= count,
@@ -475,6 +356,7 @@ fn run_client_pipelined(
     };
     loop {
         while window.has_room() && !done_issuing(index) {
+            // Open loop: wait for this query's arrival slot.
             if let Some(step) = interval {
                 let slot = start + step.mul_f64(index as f64);
                 let now = Instant::now();
@@ -487,7 +369,7 @@ fn run_client_pipelined(
                 index,
                 policy: req.policy,
             };
-            write_frame(stream, &Frame::Query(req.clone()))?;
+            write_frame(&mut stream, &Frame::Query(req.clone()))?;
             if !window.issued(req.id, issued, Instant::now()) {
                 return Err(WireError::Io(std::io::Error::other(format!(
                     "duplicate request id {} in the pipeline window",
@@ -498,11 +380,11 @@ fn run_client_pipelined(
         }
         if window.is_empty() {
             if done_issuing(index) {
-                return Ok(());
+                break;
             }
             continue;
         }
-        let reply = read_next(stream)?;
+        let reply = read_next(&mut stream)?;
         let id = match &reply {
             Frame::Result(record) => record.id,
             Frame::Error(e) => e.id,
@@ -518,6 +400,31 @@ fn run_client_pipelined(
                 "reply for id {id} which is not outstanding"
             ))));
         };
+        // Honor retry-after on saturation if asked to: back off by the
+        // server's hint, doubling per attempt up to the configured cap,
+        // with seeded jitter so the retry schedule stays deterministic
+        // per (seed, client, index) yet desynchronized across clients.
+        // The resend reuses the id, the window slot and the first-issue
+        // stamp, so the digest cannot tell a retried query apart.
+        if let Frame::Error(e) = &reply {
+            if e.code == ErrorCode::Saturated && cfg.retry_rejected {
+                let req = nth_request(cfg, client, query.index);
+                let (attempt, rng) = retrying
+                    .entry(id)
+                    .or_insert_with(|| (0, SimRng::seed_from_u64(req.seed ^ RETRY_SALT)));
+                if *attempt < cfg.max_retries {
+                    tally.rejected += 1;
+                    let hint = e.retry_after_ms.unwrap_or(10);
+                    std::thread::sleep(retry_backoff(hint, *attempt, cfg.backoff_cap_ms, rng));
+                    *attempt += 1;
+                    tally.retries += 1;
+                    write_frame(&mut stream, &Frame::Query(req))?;
+                    window.issued(id, query, at);
+                    continue;
+                }
+            }
+        }
+        retrying.remove(&id);
         match reply {
             Frame::Result(record) => {
                 let lat = at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -535,6 +442,8 @@ fn run_client_pipelined(
             _ => unreachable!("non-result/error frames rejected above"),
         }
     }
+    let _ = roundtrip(&mut stream, &Frame::Bye);
+    Ok(tally)
 }
 
 /// Run the load: spawn `clients` connection threads, drive the seeded

@@ -150,8 +150,8 @@ impl ServerMetrics {
         self.lint_checks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one session opening (a socket registered with a session
-    /// engine or a connection thread starting).
+    /// Record one session opening (a socket registered with a shard of
+    /// the session engine).
     pub fn session_opened(&self) {
         self.sessions_open.fetch_add(1, Ordering::AcqRel);
     }

@@ -31,7 +31,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use csqp_catalog::{
-    Catalog, CatalogDrift, DriftAction, DriftEvent, DriftStats, SiteId, SystemConfig,
+    Admission, Catalog, CatalogDrift, DriftAction, DriftEvent, DriftStats, SiteId, SystemConfig,
 };
 use csqp_core::cancel::{CancelToken, StopReason};
 use csqp_core::{DiagCode, Policy};
@@ -191,30 +191,6 @@ pub(crate) const RETRY_AFTER_MS: u64 = 50;
 /// restart supervisor to bring a replacement up.
 pub(crate) const SHUTDOWN_RETRY_AFTER_MS: u64 = 1_000;
 
-/// How the admitting shard's catalog replica stood against the
-/// coordinator when a query was admitted — the typed degradation verdict
-/// of the catalog drift model (DESIGN.md §14). Computed once per admitted
-/// query by the shard thread and carried on the `Job` so the worker
-/// honors exactly the state the admission decision saw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CatalogVerdict {
-    /// The replica is within [`ServerConfig::catalog_lag`]: serve at the
-    /// requested policy.
-    Fresh,
-    /// The replica is past the bound (or its cached-fraction state is
-    /// poisoned) but the request can still downgrade: serve QS — which
-    /// never prices the client cache, so stale fractions cannot mislead
-    /// it — with `degrade_reason = stale-catalog`.
-    Degrade,
-    /// The replica is past the bound and the request is already QS, so
-    /// there is nothing sound left to downgrade to: reject with a retry
-    /// hint (the replica will have refreshed by the retry).
-    Reject {
-        /// How many epochs the replica trailed the coordinator.
-        lag: u64,
-    },
-}
-
 /// The shared query-execution service: Table 2 system parameters, the
 /// deterministic hosted placement, the shared site-selection memo, the
 /// catalog drift model, and the metrics sink.
@@ -308,9 +284,9 @@ impl QueryService {
 
     /// The drift event trace recorded while catalog faults were armed
     /// (empty otherwise, and capped — see
-    /// [`csqp_catalog::replica::DRIFT_TRACE_CAP`]). `csqp-load` replays
-    /// this through the `csqp-verify` drift pass after a soak to prove
-    /// no plan was served beyond the bound.
+    /// [`csqp_catalog::replica::DRIFT_TRACE_CAP`]). The catalog-fault
+    /// soak tests replay this through the `csqp-verify` drift pass to
+    /// prove no plan was served beyond the bound.
     pub fn drift_trace(&self) -> Vec<DriftEvent> {
         self.drift
             .as_ref()
@@ -318,19 +294,18 @@ impl QueryService {
             .unwrap_or_default()
     }
 
-    /// Advance the drift model for one admitted query and return the
-    /// serving verdict, keyed by the request's own seed so the schedule
-    /// is reproducible without any session state. `None` (faults
-    /// unarmed) means the drift layer is inert. Called on the admitting
-    /// shard's thread; the whole admission is one step under the drift
-    /// lock. Soaks that assert digest equality run queries sequentially
-    /// on one shard, which makes the whole drift trajectory a pure
-    /// function of the request stream.
-    pub(crate) fn catalog_verdict(
-        &self,
-        shard: usize,
-        req: &QueryRequest,
-    ) -> Option<CatalogVerdict> {
+    /// Advance the drift model for one admitted query and return its
+    /// admission — the typed degradation decision of the catalog drift
+    /// model (DESIGN.md §14) — keyed by the request's own seed so the
+    /// schedule is reproducible without any session state. `None`
+    /// (faults unarmed) means the drift layer is inert. Called on the
+    /// admitting shard's thread and carried on the `Job`, so the worker
+    /// honors exactly the state the admission decision saw; the whole
+    /// admission is one step under the drift lock. Soaks that assert
+    /// digest equality run queries sequentially on one shard, which
+    /// makes the whole drift trajectory a pure function of the request
+    /// stream.
+    pub(crate) fn catalog_admission(&self, shard: usize, req: &QueryRequest) -> Option<Admission> {
         let plan = self.config.catalog_faults.as_ref()?;
         let delivery = plan.catalog_delivery_for(req.seed);
         let can_downgrade = req.policy != Policy::QueryShipping;
@@ -340,11 +315,7 @@ impl QueryService {
         for _ in 0..admission.published {
             self.memo.bump_generation();
         }
-        Some(match admission.action {
-            DriftAction::Fresh => CatalogVerdict::Fresh,
-            DriftAction::Degraded => CatalogVerdict::Degrade,
-            DriftAction::Rejected => CatalogVerdict::Reject { lag: admission.lag },
-        })
+        Some(admission)
     }
 
     /// Queries admitted but not yet finished (queued + executing).
@@ -395,7 +366,7 @@ impl QueryService {
     /// [`QueryService::handle_query`] with the serving context attached:
     /// a cancel token probed between search steps and simulated-engine
     /// phases, an admission-time degradation verdict (queue past the
-    /// high-water mark), and the admitting shard's catalog drift verdict.
+    /// high-water mark), and the admitting shard's catalog drift admission.
     /// A stopped token yields a typed `deadline-exceeded` or `aborted`
     /// ERROR; a degraded request runs under query shipping — Table 1
     /// makes QS legal for every query — and says so in the RESULT record;
@@ -406,9 +377,14 @@ impl QueryService {
         req: &QueryRequest,
         guard: &CancelToken,
         admission_degrade: Option<DegradeReason>,
-        catalog_verdict: Option<CatalogVerdict>,
+        catalog: Option<Admission>,
     ) -> Result<ResultRecord, ErrorFrame> {
-        if let Some(CatalogVerdict::Reject { lag }) = catalog_verdict {
+        if let Some(Admission {
+            action: DriftAction::Rejected,
+            lag,
+            ..
+        }) = catalog
+        {
             return Err(ErrorFrame {
                 id: req.id,
                 code: ErrorCode::StaleCatalog,
@@ -465,7 +441,13 @@ impl QueryService {
         // Admission-time saturation outranks both: the reason reported
         // is the first one that forced the downgrade.
         let cache_unusable = req.cache.len() > query.relations.len();
-        let catalog_stale = matches!(catalog_verdict, Some(CatalogVerdict::Degrade));
+        let catalog_stale = matches!(
+            catalog,
+            Some(Admission {
+                action: DriftAction::Degraded,
+                ..
+            })
+        );
         let degrade = admission_degrade
             .or(if catalog_stale {
                 Some(DegradeReason::StaleCatalog)
@@ -750,9 +732,9 @@ pub(crate) struct Job {
     pub(crate) guard: Arc<CancelToken>,
     /// Admission-time degradation verdict (queue past high water).
     pub(crate) degrade: Option<DegradeReason>,
-    /// The admitting shard's catalog drift verdict; `None` when catalog
-    /// faults are unarmed.
-    pub(crate) catalog: Option<CatalogVerdict>,
+    /// The admitting shard's catalog drift admission; `None` when
+    /// catalog faults are unarmed.
+    pub(crate) catalog: Option<Admission>,
 }
 
 /// How a reply frame leaves the server after the reply-path fault plan
@@ -1003,10 +985,14 @@ fn worker_loop(jobs: &Mutex<Receiver<Job>>, service: &QueryService) {
 /// logic exists once.
 pub fn roundtrip(stream: &mut TcpStream, frame: &Frame) -> Result<Frame, WireError> {
     write_frame(stream, frame)?;
+    read_next(stream)
+}
+
+/// Block until the next frame arrives. A read timeout between frames
+/// just means the server is still computing; keep waiting.
+pub(crate) fn read_next(stream: &mut TcpStream) -> Result<Frame, WireError> {
     loop {
         match read_frame(stream) {
-            // A read timeout between frames just means the server is
-            // still computing; keep the blocking semantics and wait.
             Err(WireError::TimedOut) => continue,
             Ok(Some(f)) => return Ok(f),
             Ok(None) => {
@@ -1038,6 +1024,15 @@ mod tests {
             loads: vec![],
             deadline_ms: None,
             keys: None,
+        }
+    }
+
+    /// A drift admission that published nothing.
+    fn admission(action: DriftAction, lag: u64) -> Admission {
+        Admission {
+            action,
+            lag,
+            published: 0,
         }
     }
 
@@ -1328,7 +1323,7 @@ mod tests {
                 &req,
                 &CancelToken::inert(),
                 None,
-                Some(CatalogVerdict::Degrade),
+                Some(admission(DriftAction::Degraded, 3)),
             )
             .expect("served degraded");
         assert_eq!(record.degraded_from, Some(Policy::HybridShipping));
@@ -1340,18 +1335,18 @@ mod tests {
                 &req,
                 &CancelToken::inert(),
                 Some(DegradeReason::Saturated),
-                Some(CatalogVerdict::Degrade),
+                Some(admission(DriftAction::Degraded, 3)),
             )
             .expect("served degraded");
         assert_eq!(record.degrade_reason, Some(DegradeReason::Saturated));
 
-        // A Fresh verdict changes nothing.
+        // A Fresh admission changes nothing.
         let record = service
             .handle_query_ctx(
                 &req,
                 &CancelToken::inert(),
                 None,
-                Some(CatalogVerdict::Fresh),
+                Some(admission(DriftAction::Fresh, 0)),
             )
             .expect("served fresh");
         assert_eq!(record.degraded_from, None);
@@ -1371,7 +1366,7 @@ mod tests {
                 &req,
                 &CancelToken::inert(),
                 None,
-                Some(CatalogVerdict::Reject { lag: 5 }),
+                Some(admission(DriftAction::Rejected, 5)),
             )
             .expect_err("bounced");
         assert_eq!(err.code, ErrorCode::StaleCatalog);
@@ -1387,19 +1382,19 @@ mod tests {
             selectivity: csqp_workload::MODERATE_SEL,
         };
 
-        // Unarmed: no epochs, no trace, no verdict — the layer is inert.
+        // Unarmed: no epochs, no trace, no admission — the layer is inert.
         let quiet = QueryService::new(ServerConfig::default());
         let req = request(
             spec.clone(),
             Policy::HybridShipping,
             OptimizerMode::TwoPhase,
         );
-        assert_eq!(quiet.catalog_verdict(0, &req), None);
+        assert_eq!(quiet.catalog_admission(0, &req), None);
         assert_eq!(quiet.stats_snapshot().catalog_epoch, 0);
         assert!(quiet.drift_trace().is_empty());
 
         // Armed: the same seeded request stream produces the same
-        // verdicts, trace, and counters on two independent services.
+        // admissions, trace, and counters on two independent services.
         let armed = || {
             QueryService::new(ServerConfig {
                 catalog_faults: Some(FaultPlan::new(0xD81F7, 0.8)),
@@ -1408,7 +1403,7 @@ mod tests {
             })
         };
         let (a, b) = (armed(), armed());
-        let verdicts = |svc: &QueryService| {
+        let admissions = |svc: &QueryService| {
             (0..64u64)
                 .map(|i| {
                     let mut r = request(
@@ -1417,11 +1412,11 @@ mod tests {
                         OptimizerMode::TwoPhase,
                     );
                     r.seed = 1000 + i;
-                    svc.catalog_verdict(0, &r)
+                    svc.catalog_admission(0, &r)
                 })
                 .collect::<Vec<_>>()
         };
-        let (va, vb) = (verdicts(&a), verdicts(&b));
+        let (va, vb) = (admissions(&a), admissions(&b));
         assert_eq!(va, vb, "same seeds, same drift trajectory");
         assert_eq!(a.drift_trace(), b.drift_trace());
         // Pinned digest of this seeded stream's trace: the drift model
@@ -1435,8 +1430,9 @@ mod tests {
         );
         assert!(va.iter().all(|v| v.is_some()));
         // The mix must exercise both sides of the lattice.
-        assert!(va.contains(&Some(CatalogVerdict::Fresh)));
-        assert!(va.contains(&Some(CatalogVerdict::Degrade)));
+        let actions: Vec<_> = va.iter().flatten().map(|a| a.action).collect();
+        assert!(actions.contains(&DriftAction::Fresh));
+        assert!(actions.contains(&DriftAction::Degraded));
         let stats = a.stats_snapshot();
         assert!(stats.catalog_epoch >= 64, "every query publishes");
         assert!(stats.catalog_refreshes > 0);
@@ -1473,7 +1469,7 @@ mod tests {
                             OptimizerMode::TwoPhase,
                         );
                         req.seed = (shard as u64) << 32 | i;
-                        let _ = service.catalog_verdict(shard, &req);
+                        let _ = service.catalog_admission(shard, &req);
                     }
                 });
             }
@@ -1510,7 +1506,7 @@ mod tests {
             Policy::QueryShipping,
             OptimizerMode::TwoStep,
         );
-        let _ = service.catalog_verdict(0, &req);
+        let _ = service.catalog_admission(0, &req);
         assert!(
             memo.generation() > before,
             "publishing an epoch must invalidate the memo"

@@ -91,42 +91,80 @@ fn same_seed_reproduces_schedule_and_digest_across_servers() {
     // cannot lean on warmed caches or leftover state. The second server
     // also runs on every other supported backend: the digest is a
     // function of the seed, not of the readiness mechanism.
-    let seed = 13;
-    let first_server = start_server(Backend::default_for_host());
-    let a = run_chaos(&soak_config(&first_server.addr().to_string(), seed)).expect("first soak");
-    first_server.shutdown();
-    for reactor in test_backends() {
-        let second_server = start_server(reactor);
-        let b =
-            run_chaos(&soak_config(&second_server.addr().to_string(), seed)).expect("second soak");
-        second_server.shutdown();
-        assert_eq!(a.digest, b.digest, "same seed, same replies on {reactor}");
-        assert_eq!(
-            a.faults, b.faults,
-            "same seed, same fault schedule on {reactor}"
-        );
-        assert_eq!(a.replies, b.replies);
-        assert_eq!(a.dropped, b.dropped);
+    for seed in SOAK_SEEDS {
+        let first_server = start_server(Backend::default_for_host());
+        let a = run_chaos(&soak_config(&first_server.addr().to_string(), seed))
+            .unwrap_or_else(|e| panic!("seed {seed}: first soak failed: {e}"));
+        first_server.shutdown();
+        assert!(a.healthy(), "seed {seed}: first soak\n{}", a.render());
+        for reactor in test_backends() {
+            let second_server = start_server(reactor);
+            let b = run_chaos(&soak_config(&second_server.addr().to_string(), seed))
+                .unwrap_or_else(|e| panic!("seed {seed} on {reactor}: second soak failed: {e}"));
+            second_server.shutdown();
+            assert!(
+                b.healthy(),
+                "seed {seed} on {reactor}: second soak\n{}",
+                b.render()
+            );
+            assert_eq!(
+                a.digest, b.digest,
+                "seed {seed}: same seed, same replies on {reactor}"
+            );
+            assert_eq!(
+                a.faults, b.faults,
+                "seed {seed}: same seed, same fault schedule on {reactor}"
+            );
+            assert_eq!(a.replies, b.replies, "seed {seed} on {reactor}");
+            assert_eq!(a.dropped, b.dropped, "seed {seed} on {reactor}");
+        }
     }
 }
 
-/// Staleness bound for the catalog-fault soaks: tight enough that
-/// withheld refreshes push replicas past it at intensity 0.5.
-const CATALOG_SOAK_BOUND: u64 = 2;
+/// One catalog-fault soak input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CatalogSoak {
+    seed: u64,
+    intensity: f64,
+    /// The staleness bound (`ServerConfig::catalog_lag`).
+    lag: u64,
+    queries_per_schedule: u64,
+}
+
+/// The pinned seeds under a tight staleness bound: withheld refreshes
+/// push replicas past it at intensity 0.5.
+fn tight_bound_soak(seed: u64) -> CatalogSoak {
+    CatalogSoak {
+        seed,
+        intensity: 0.5,
+        lag: 2,
+        queries_per_schedule: 10,
+    }
+}
+
+/// Harsher faults under the server's default staleness bound.
+fn default_bound_soaks() -> impl Iterator<Item = CatalogSoak> {
+    [7, 13, 21, 34].into_iter().map(|seed| CatalogSoak {
+        seed,
+        intensity: 0.6,
+        lag: ServerConfig::default().catalog_lag,
+        queries_per_schedule: 12,
+    })
+}
 
 /// A server with catalog propagation faults armed from the seeded plan.
 /// One event thread = one shard = one catalog replica: shard routing is
 /// by file descriptor, which the seed does not control, so a single
 /// shard is what makes the drift trajectory a pure function of the
 /// request stream.
-fn start_catalog_fault_server(reactor: Backend, seed: u64, intensity: f64) -> ServerHandle {
+fn start_catalog_fault_server(reactor: Backend, soak: CatalogSoak) -> ServerHandle {
     Server::bind(ServerConfig {
         workers: 2,
         queue_depth: 8,
         event_threads: 1,
         reactor,
-        catalog_lag: CATALOG_SOAK_BOUND,
-        catalog_faults: Some(FaultPlan::new(seed, intensity)),
+        catalog_lag: soak.lag,
+        catalog_faults: Some(FaultPlan::new(soak.seed, soak.intensity)),
         ..ServerConfig::default()
     })
     .expect("bind on 127.0.0.1:0")
@@ -134,50 +172,65 @@ fn start_catalog_fault_server(reactor: Backend, seed: u64, intensity: f64) -> Se
     .expect("spawn server threads")
 }
 
+/// Run one catalog-fault soak against a fresh server and return the
+/// report with the server's recorded drift trace.
+fn catalog_soak(
+    reactor: Backend,
+    soak: CatalogSoak,
+) -> (csqp_serve::ChaosReport, Vec<csqp_catalog::DriftEvent>) {
+    let server = start_catalog_fault_server(reactor, soak);
+    let report = run_chaos(&ChaosConfig {
+        catalog_faults: true,
+        intensity: soak.intensity,
+        queries_per_schedule: soak.queries_per_schedule,
+        ..soak_config(&server.addr().to_string(), soak.seed)
+    })
+    .unwrap_or_else(|e| panic!("{soak:?} on {reactor}: catalog soak failed: {e}"));
+    let trace = server.service().drift_trace();
+    server.shutdown();
+    (report, trace)
+}
+
 #[test]
 fn catalog_fault_soak_conserves_and_the_drift_trace_audits_clean() {
     for reactor in test_backends() {
         let mut drift_bit = 0u64;
-        for seed in SOAK_SEEDS {
-            let server = start_catalog_fault_server(reactor, seed, 0.5);
-            let cfg = ChaosConfig {
-                catalog_faults: true,
-                ..soak_config(&server.addr().to_string(), seed)
-            };
-            let report = run_chaos(&cfg)
-                .unwrap_or_else(|e| panic!("seed {seed} on {reactor}: catalog soak failed: {e}"));
+        for soak in SOAK_SEEDS
+            .into_iter()
+            .map(tight_bound_soak)
+            .chain(default_bound_soaks())
+        {
+            let (report, trace) = catalog_soak(reactor, soak);
             assert!(
                 report.conservation,
-                "seed {seed} on {reactor}: conservation under catalog faults\n{}",
+                "{soak:?} on {reactor}: conservation under catalog faults\n{}",
                 report.render()
             );
             assert!(
                 report.probes_ok,
-                "seed {seed} on {reactor}: a worker leaked under catalog faults\n{}",
+                "{soak:?} on {reactor}: a worker leaked under catalog faults\n{}",
                 report.render()
             );
-            assert_eq!(report.client_errors, 0, "seed {seed} on {reactor}");
+            assert_eq!(report.client_errors, 0, "{soak:?} on {reactor}");
             assert_eq!(
                 report.replies + report.dropped,
                 report.queries_sent,
-                "seed {seed} on {reactor}: every exchange ends replied or dropped\n{}",
+                "{soak:?} on {reactor}: every exchange ends replied or dropped\n{}",
                 report.render()
             );
             // The recorded drift trace must replay clean through the
             // verifier: no fresh serve past the bound, no applied epoch
             // regression, faithful lag accounting.
-            let trace = server.service().drift_trace();
             assert!(
                 !trace.is_empty(),
-                "seed {seed} on {reactor}: faults armed, trace empty"
+                "{soak:?} on {reactor}: faults armed, trace empty"
             );
-            let audit = csqp_verify::catalog::check_drift(&trace, CATALOG_SOAK_BOUND);
+            let audit = csqp_verify::catalog::check_drift(&trace, soak.lag);
             assert!(
                 audit.is_clean(),
-                "seed {seed} on {reactor}: drift audit failed: {audit}"
+                "{soak:?} on {reactor}: drift audit failed: {audit}"
             );
             drift_bit += report.stats.catalog_stale_degraded + report.stats.catalog_stale_rejected;
-            server.shutdown();
         }
         assert!(
             drift_bit > 0,
@@ -193,48 +246,47 @@ fn catalog_fault_soak_same_seed_same_drift_across_fresh_servers() {
     // same fresh state, byte-identical replies and drift trajectory.
     // Running the pair under every supported backend additionally pins
     // the drift trajectory as backend-independent.
-    let seed = 21;
-    let mut golden: Option<(u64, Vec<_>)> = None;
-    for reactor in test_backends() {
-        let first = start_catalog_fault_server(reactor, seed, 0.5);
-        let a = run_chaos(&ChaosConfig {
-            catalog_faults: true,
-            ..soak_config(&first.addr().to_string(), seed)
-        })
-        .expect("first catalog soak");
-        let trace_a = first.service().drift_trace();
-        first.shutdown();
-        let second = start_catalog_fault_server(reactor, seed, 0.5);
-        let b = run_chaos(&ChaosConfig {
-            catalog_faults: true,
-            ..soak_config(&second.addr().to_string(), seed)
-        })
-        .expect("second catalog soak");
-        let trace_b = second.service().drift_trace();
-        second.shutdown();
-        assert_eq!(a.digest, b.digest, "same seed, same replies on {reactor}");
-        assert_eq!(a.replies, b.replies);
-        assert_eq!(a.dropped, b.dropped);
-        assert_eq!(
-            trace_a, trace_b,
-            "same seed, same drift trajectory on {reactor}"
-        );
-        // Pinned digest of the seed-21 trace: the drift model may be
-        // restructured, but the history it records may not move.
-        let trace_digest = csqp_serve::server::fnv1a(format!("{trace_a:?}").as_bytes());
-        assert_eq!(
-            (trace_a.len(), trace_digest),
-            (71, 0x2616_45b6_973a_d023),
-            "{reactor}: seed-21 drift-trace golden"
-        );
-        match &golden {
-            None => golden = Some((a.digest, trace_a)),
-            Some((digest, trace)) => {
+    let pinned = tight_bound_soak(21);
+    for soak in std::iter::once(pinned).chain(default_bound_soaks()) {
+        let mut golden: Option<(u64, Vec<_>)> = None;
+        for reactor in test_backends() {
+            let (a, trace_a) = catalog_soak(reactor, soak);
+            let (b, trace_b) = catalog_soak(reactor, soak);
+            assert!(a.healthy(), "{soak:?} on {reactor}\n{}", a.render());
+            assert!(b.healthy(), "{soak:?} on {reactor}\n{}", b.render());
+            assert_eq!(
+                a.digest, b.digest,
+                "{soak:?}: same seed, same replies on {reactor}"
+            );
+            assert_eq!(a.replies, b.replies, "{soak:?} on {reactor}");
+            assert_eq!(a.dropped, b.dropped, "{soak:?} on {reactor}");
+            assert_eq!(
+                trace_a, trace_b,
+                "{soak:?}: same seed, same drift trajectory on {reactor}"
+            );
+            if soak == pinned {
+                // Pinned digest of the seed-21 trace: the drift model may
+                // be restructured, but the history it records may not
+                // move.
+                let trace_digest = csqp_serve::server::fnv1a(format!("{trace_a:?}").as_bytes());
                 assert_eq!(
-                    a.digest, *digest,
-                    "{reactor}: digest matches other backends"
+                    (trace_a.len(), trace_digest),
+                    (71, 0x2616_45b6_973a_d023),
+                    "{reactor}: seed-21 drift-trace golden"
                 );
-                assert_eq!(&trace_a, trace, "{reactor}: drift matches other backends");
+            }
+            match &golden {
+                None => golden = Some((a.digest, trace_a)),
+                Some((digest, trace)) => {
+                    assert_eq!(
+                        a.digest, *digest,
+                        "{soak:?} on {reactor}: digest matches other backends"
+                    );
+                    assert_eq!(
+                        &trace_a, trace,
+                        "{soak:?} on {reactor}: drift matches other backends"
+                    );
+                }
             }
         }
     }

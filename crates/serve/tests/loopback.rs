@@ -202,6 +202,112 @@ fn saturated_server_rejects_with_retry_hint() {
 }
 
 #[test]
+fn retried_rejects_keep_the_digest_at_any_window() {
+    // A 1-worker, 1-slot server bounces part of a concurrent burst with
+    // `saturated`; with retries on, every query must still complete, and
+    // a resend reuses the id, so the digest equals the same mix served
+    // unsaturated. Whether rejects happen at all depends on timing, so
+    // only the accounting is asserted: each reject was retried. The
+    // high-water mark is lifted so overlap never degrades a plan to QS,
+    // which would make the replies timing-dependent.
+    let saturated = Server::bind(ServerConfig {
+        workers: 1,
+        queue_depth: 1,
+        high_water: Some(64),
+        ..ServerConfig::default()
+    })
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    let honest = start_server();
+    let mix = |addr: &str, pipeline: usize| LoadConfig {
+        addr: addr.to_string(),
+        clients: 4,
+        queries_per_client: Some(3),
+        seed: 3,
+        retry_rejected: true,
+        max_retries: 1_000,
+        pipeline,
+        ..LoadConfig::default()
+    };
+    let expected = run_load(&mix(&honest.addr().to_string(), 1)).expect("unsaturated load");
+    assert_eq!(expected.queries, 12, "{expected:?}");
+    for pipeline in [1, 4] {
+        let report =
+            run_load(&mix(&saturated.addr().to_string(), pipeline)).expect("saturated load");
+        assert_eq!(
+            report.queries, 12,
+            "window {pipeline}: every query answered: {report:?}"
+        );
+        assert_eq!(report.errors, 0, "window {pipeline}: {report:?}");
+        assert_eq!(
+            report.digest, expected.digest,
+            "window {pipeline}: retries do not move the digest"
+        );
+        assert_eq!(
+            report.retries, report.rejected,
+            "window {pipeline}: every reject was retried: {report:?}"
+        );
+    }
+    saturated.shutdown();
+    honest.shutdown();
+}
+
+#[test]
+fn mem_budget_degrades_to_qs_and_keeps_qs_digests() {
+    // A budget-starved server and an unbudgeted one. QS plans join at
+    // the servers, so their guaranteed client footprint is the result
+    // bound alone: the gate admits an all-QS mix untouched and the
+    // digests (which fold the degrade fields) match. A mixed-policy mix
+    // against the starved server must take the mem-bound degradation
+    // path, with the conservation identity intact.
+    let start = |mem_budget_pages| {
+        Server::bind(ServerConfig {
+            mem_budget_pages,
+            ..ServerConfig::default()
+        })
+        .expect("bind")
+        .spawn()
+        .expect("spawn")
+    };
+    let starved = start(Some(300));
+    let honest = start(None);
+    let mix = |addr: &str, policy| LoadConfig {
+        addr: addr.to_string(),
+        clients: 2,
+        queries_per_client: Some(6),
+        seed: 42,
+        policy,
+        ..LoadConfig::default()
+    };
+    let qs = Some(Policy::QueryShipping);
+    let gated = run_load(&mix(&starved.addr().to_string(), qs)).expect("starved QS load");
+    let ungated = run_load(&mix(&honest.addr().to_string(), qs)).expect("unbudgeted QS load");
+    assert_eq!(gated.queries, 12, "{gated:?}");
+    assert_eq!((gated.errors, gated.rejected), (0, 0), "{gated:?}");
+    assert_eq!(ungated.errors, 0, "{ungated:?}");
+    assert_eq!(
+        gated.digest, ungated.digest,
+        "an all-QS mix passes the gate untouched"
+    );
+
+    let mixed = run_load(&mix(&starved.addr().to_string(), None)).expect("mixed load");
+    assert_eq!(mixed.errors, 0, "{mixed:?}");
+    let snap = starved.service().stats_snapshot();
+    assert!(
+        snap.mem_bound_degraded > 0,
+        "a 300-page budget degrades some DS/HY plan: {snap:?}"
+    );
+    assert_eq!(
+        snap.submitted,
+        snap.queries_served + snap.rejected + snap.errors + snap.aborted + snap.timed_out,
+        "conservation: {snap:?}"
+    );
+    starved.shutdown();
+    honest.shutdown();
+}
+
+#[test]
 fn zero_deadline_gets_typed_error_and_releases_the_worker() {
     let server = start_server();
     let mut stream = TcpStream::connect(server.addr()).expect("connect");

@@ -39,9 +39,6 @@ cargo test --release -p csqp-verify mutant
 echo "==> serve-smoke: 2-second loopback load against csqp-serve"
 cargo run --release --bin csqp-load -- --serve --clients 8 --seconds 2 --fail-on-rejects
 
-echo "==> memo-smoke: memo on/off digest equality + hits over loopback"
-cargo run --release --bin csqp-load -- --memo-smoke --clients 4
-
 echo "==> memo-bench: seeded cold/warm planning suite (>=5x regression gate)"
 cargo run --release -p csqp-bench --bin csqp-bench -- --min-speedup 5
 
@@ -54,22 +51,8 @@ cargo run --release --bin csqp-check -- --bounds
 echo "==> bounds mutant tests in the analyzer crate"
 cargo test --release -p csqp-verify bounds
 
-echo "==> mem-budget smoke: budget-starved serving == honest all-QS digests"
-cargo run --release --bin csqp-load -- --serve --mem-budget 300 --clients 2 --queries 6 --seed 42
-
 echo "==> sim-bench: pinned simulator events/sec gate (BENCH_sim.json)"
 cargo run --release -p csqp-bench --bin csqp-bench -- --sim --min-events-per-sec 1000000
-
-echo "==> chaos-smoke: seeded fault-injection soak (digest must reproduce)"
-for seed in 1 2 3 5 8 13 21 34; do
-  cargo run --release --bin csqp-load -- --serve --chaos "$seed" --schedules 2 --chaos-queries 10 --intensity 0.5
-done
-
-echo "==> pipeline-smoke: pipelined digest equality + chaos on one server"
-cargo run --release --bin csqp-load -- --serve --pipeline 8 --chaos 13 --clients 4 --queries 6 --schedules 2 --chaos-queries 10 --intensity 0.5
-
-echo "==> reply-fault smoke: server-side reply truncation/corruption soak"
-cargo run --release --bin csqp-load -- --serve --chaos 21 --reply-faults --schedules 2 --chaos-queries 10 --intensity 0.6
 
 echo "==> idle-session scale: poll at 2,000 sessions + the epoll wall"
 cargo test --release -p csqp-serve --test scale -- --ignored
@@ -85,11 +68,6 @@ cargo run --release --bin csqp-load -- --serve --bench-reactor --clients 4 --que
 
 echo "==> csqp-check --catalog: catalog drift state machine + seeded mutants"
 cargo run --release --bin csqp-check -- --catalog
-
-echo "==> catalog-chaos: stale-catalog fault soaks across fresh servers"
-for seed in 7 13 21 34; do
-  cargo run --release --bin csqp-load -- --serve --chaos "$seed" --catalog-faults --schedules 2 --chaos-queries 12 --intensity 0.6
-done
 
 echo "==> bench-serve: pinned closed-loop QPS/latency gate (BENCH_serve.json)"
 cargo run --release --bin csqp-load -- --serve --bench-serve --clients 4 --queries 64 --seed 42 --min-qps 25

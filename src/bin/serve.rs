@@ -25,7 +25,8 @@
 //! queries still serve fresh (default 3). Past the bound, queries take
 //! the typed degradation path — QS downgrade with `stale-catalog`, or a
 //! typed reject with a retry hint. The bound only matters once catalog
-//! faults drive the epochs (`csqp-load --chaos --catalog-faults`).
+//! faults drive the epochs (`ServerConfig::catalog_faults`, armed by the
+//! catalog-fault soak tests in `crates/serve/tests/chaos.rs`).
 //!
 //! `--memo-bytes N` bounds the shared site-selection memo (default
 //! 64 MiB); `--no-memo` disables it entirely. Served results are
