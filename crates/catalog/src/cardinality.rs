@@ -23,6 +23,9 @@ use crate::schema::pages_for;
 pub struct Estimator<'q> {
     query: &'q QuerySpec,
     page_size: u32,
+    /// The query's uniform tuple width, read once: the query cannot
+    /// change while it is borrowed here.
+    tuple_bytes: Option<u32>,
 }
 
 impl<'q> Estimator<'q> {
@@ -31,6 +34,7 @@ impl<'q> Estimator<'q> {
         Estimator {
             query,
             page_size: config.page_size,
+            tuple_bytes: query.uniform_tuple_bytes(),
         }
     }
 
@@ -62,19 +66,23 @@ impl<'q> Estimator<'q> {
     // a mixed-width query has no defined width model here to fall back to.
     #[allow(clippy::expect_used)]
     pub fn tuple_bytes(&self, _rels: RelSet) -> u32 {
-        self.query
-            .uniform_tuple_bytes()
+        self.tuple_bytes
             .expect("benchmark queries have uniform tuple width")
     }
 
     /// Estimated page count of the sub-result covering `rels`.
     pub fn pages(&self, rels: RelSet) -> f64 {
-        let t = self.tuples(rels);
-        if t <= 0.0 {
+        self.pages_of(self.tuples(rels))
+    }
+
+    /// Pages needed to hold `tuples` intermediate-result tuples, for a
+    /// caller that already has the tuple estimate.
+    pub fn pages_of(&self, tuples: f64) -> f64 {
+        if tuples <= 0.0 {
             return 0.0;
         }
-        let per_page = (self.page_size / self.tuple_bytes(rels)) as f64;
-        (t / per_page).ceil()
+        let per_page = (self.page_size / self.tuple_bytes(RelSet::EMPTY)) as f64;
+        (tuples / per_page).ceil()
     }
 
     /// Integer page count (rounded estimate) — what the engine materializes.

@@ -168,6 +168,16 @@ impl BoundPlan {
 /// # Ok::<(), csqp_core::BindError>(())
 /// ```
 pub fn bind(plan: &Plan, ctx: BindContext<'_>) -> Result<BoundPlan, BindError> {
+    Ok(BoundPlan {
+        plan: plan.clone(),
+        sites: bind_sites(plan, ctx)?,
+    })
+}
+
+/// The physical site of every arena slot of `plan`, as [`bind`] resolves
+/// them, without copying the plan. Entries for unreachable slots are the
+/// query site and never read.
+pub fn bind_sites(plan: &Plan, ctx: BindContext<'_>) -> Result<Vec<SiteId>, BindError> {
     let order = plan.postorder();
     let parents = plan.parents();
     let mut sites: Vec<Option<SiteId>> = vec![None; plan.arena_len()];
@@ -235,13 +245,10 @@ pub fn bind(plan: &Plan, ctx: BindContext<'_>) -> Result<BoundPlan, BindError> {
         }
     }
 
-    Ok(BoundPlan {
-        plan: plan.clone(),
-        sites: sites
-            .into_iter()
-            .map(|s| s.unwrap_or(ctx.query_site))
-            .collect(),
-    })
+    Ok(sites
+        .into_iter()
+        .map(|s| s.unwrap_or(ctx.query_site))
+        .collect())
 }
 
 #[cfg(test)]

@@ -4,13 +4,14 @@
 //! the recursion aggregates usage bottom-up and derives the response-time
 //! estimate as the maximum of (a) any child's response time and (b) the
 //! subtree's largest single-resource usage — the full-overlap assumption
-//! described in the crate docs.
+//! described in the crate docs. Each node also hands its estimated output
+//! up to its parent, so one walk prices every objective ([`PlanCost`]).
 
 use csqp_catalog::{
     hybrid_hash_plan, join_memory, sat_u64, Catalog, Estimator, QuerySpec, RelSet, SiteId,
     SystemConfig,
 };
-use csqp_core::{bind, BindContext, BoundPlan, LogicalOp, NodeId, Plan};
+use csqp_core::{bind_sites, BindContext, BoundPlan, LogicalOp, NodeId, Plan};
 use csqp_net::CONTROL_MSG_BYTES;
 
 use crate::objective::Objective;
@@ -38,11 +39,39 @@ struct NodeCost {
     pre: f64,
     /// Serial seconds to stream the full output thereafter.
     stream: f64,
+    /// Estimated output (tuples, pages) and the relations it covers.
+    tuples: f64,
+    pages: f64,
+    rels: RelSet,
 }
 
 impl NodeCost {
     fn response(&self) -> f64 {
         (self.pre + self.stream).max(self.usage.bottleneck_seconds())
+    }
+}
+
+/// A plan priced under every objective by one walk.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanCost {
+    /// Data pages sent over the network (the communication objective).
+    pub pages_sent: f64,
+    /// Estimated response time in seconds (the response-time objective).
+    pub response: f64,
+    /// Total resource seconds (the total-cost objective).
+    pub total: f64,
+    /// The full usage vector the three numbers are derived from.
+    pub usage: ResourceUsage,
+}
+
+impl PlanCost {
+    /// The plan's value under `objective` (lower is better).
+    pub fn get(&self, objective: Objective) -> f64 {
+        match objective {
+            Objective::Communication => self.pages_sent,
+            Objective::ResponseTime => self.response,
+            Objective::TotalCost => self.total,
+        }
     }
 }
 
@@ -93,20 +122,11 @@ impl<'a> CostModel<'a> {
         self.catalog.num_servers() as usize + 1
     }
 
-    /// Evaluate a bound plan under an objective (lower is better).
-    pub fn evaluate_bound(&self, bound: &BoundPlan, objective: Objective) -> f64 {
-        let cost = self.node_cost(bound, bound.plan.root());
-        match objective {
-            Objective::Communication => cost.usage.pages_sent,
-            Objective::ResponseTime => cost.response(),
-            Objective::TotalCost => cost.usage.total_seconds(),
-        }
-    }
-
-    /// Bind `plan` and evaluate it; `None` when binding fails (annotation
-    /// cycle) — the optimizer treats such plans as unusable.
-    pub fn evaluate_plan(&self, plan: &Plan, objective: Objective) -> Option<f64> {
-        let bound = bind(
+    /// Bind `plan` and price it under every objective in one walk; `None`
+    /// when binding fails (annotation cycle) — the optimizer treats such
+    /// plans as unusable.
+    pub fn price(&self, plan: &Plan) -> Option<PlanCost> {
+        let sites = bind_sites(
             plan,
             BindContext {
                 catalog: self.catalog,
@@ -114,7 +134,23 @@ impl<'a> CostModel<'a> {
             },
         )
         .ok()?;
-        Some(self.evaluate_bound(&bound, objective))
+        Some(self.walk(plan, &sites))
+    }
+
+    /// Price an already bound plan under every objective.
+    pub fn price_bound(&self, bound: &BoundPlan) -> PlanCost {
+        self.walk(&bound.plan, &bound.sites)
+    }
+
+    /// Evaluate a bound plan under an objective (lower is better).
+    pub fn evaluate_bound(&self, bound: &BoundPlan, objective: Objective) -> f64 {
+        self.price_bound(bound).get(objective)
+    }
+
+    /// Bind `plan` and evaluate it under an objective; `None` when
+    /// binding fails, as for [`CostModel::price`].
+    pub fn evaluate_plan(&self, plan: &Plan, objective: Objective) -> Option<f64> {
+        Some(self.price(plan)?.get(objective))
     }
 
     /// The query this model prices.
@@ -137,39 +173,15 @@ impl<'a> CostModel<'a> {
         self.query_site
     }
 
-    /// Full usage vector of a bound plan.
-    pub fn usage(&self, bound: &BoundPlan) -> ResourceUsage {
-        self.node_cost(bound, bound.plan.root()).usage
-    }
-
-    /// Estimated response time of a bound plan, in seconds.
-    pub fn response_time(&self, bound: &BoundPlan) -> f64 {
-        self.node_cost(bound, bound.plan.root()).response()
-    }
-
-    /// Output of a node as (tuples, pages): scans emit the raw relation;
-    /// everything else emits the estimator's size for its relation set.
-    // `expect("arity")` is an invariant, not an error path: costing only
-    // sees plans inside a `BoundPlan`, and `bind` rejects missing inputs
-    // as `BindError::Malformed` before one can exist.
-    #[allow(clippy::expect_used)]
-    fn output_stats(&self, plan: &Plan, id: NodeId) -> (f64, f64) {
-        match plan.node(id).op {
-            LogicalOp::Scan { rel } => {
-                let r = &self.query.relations[rel.index()];
-                (r.tuples as f64, r.pages(self.config.page_size) as f64)
-            }
-            LogicalOp::Aggregate { groups } => {
-                let child = plan.node(id).children[0].expect("arity");
-                let (in_tuples, _) = self.output_stats(plan, child);
-                let t = (groups as f64).min(in_tuples);
-                let per_page = (self.config.page_size / self.est.tuple_bytes(RelSet::EMPTY)) as f64;
-                (t, (t / per_page).ceil())
-            }
-            _ => {
-                let rels = plan.rel_set(id);
-                (self.est.tuples(rels), self.est.pages(rels))
-            }
+    /// The one costing walk: `sites` holds the bound site of every arena
+    /// slot of `plan`.
+    fn walk(&self, plan: &Plan, sites: &[SiteId]) -> PlanCost {
+        let root = self.node_cost(plan, sites, plan.root());
+        PlanCost {
+            pages_sent: root.usage.pages_sent,
+            response: root.response(),
+            total: root.usage.total_seconds(),
+            usage: root.usage,
         }
     }
 
@@ -194,13 +206,14 @@ impl<'a> CostModel<'a> {
         u.add_cpu(to, pages * cpu);
     }
 
-    // `expect("arity")` as in `output_stats`: `bind` already rejected
-    // plans with missing inputs, so every child slot here is occupied.
+    /// Cost and output of the subtree at `id`.
+    // `expect("arity")` is an invariant, not an error path: costing only
+    // sees plans that bound, and binding rejects missing inputs as
+    // `BindError::Malformed`, so every child slot here is occupied.
     #[allow(clippy::expect_used)]
-    fn node_cost(&self, bound: &BoundPlan, id: NodeId) -> NodeCost {
-        let plan = &bound.plan;
+    fn node_cost(&self, plan: &Plan, sites: &[SiteId], id: NodeId) -> NodeCost {
         let n = plan.node(id);
-        let site = bound.site(id);
+        let site = sites[id.index()];
         let cfg = self.config;
         let mut u = ResourceUsage::zero(self.num_sites());
         let mut pre = 0.0f64;
@@ -208,9 +221,11 @@ impl<'a> CostModel<'a> {
         #[allow(unused_assignments)]
         let mut stream = 0.0f64;
 
-        match n.op {
+        // Each arm evaluates to the node's output (tuples, pages, rels).
+        let (tuples, pages, rels) = match n.op {
             LogicalOp::Scan { rel } => {
-                let (_, pages) = self.output_stats(plan, id);
+                let r = &self.query.relations[rel.index()];
+                let pages = r.pages(cfg.page_size) as f64;
                 let primary = self.catalog.primary_site(rel);
                 if site == primary {
                     // Local sequential scan at the server.
@@ -250,16 +265,16 @@ impl<'a> CostModel<'a> {
                         stream += faulted * round_trip;
                     }
                 }
+                (r.tuples as f64, pages, RelSet::single(rel))
             }
             LogicalOp::Select { rel } => {
                 let child = n.children[0].expect("arity");
-                let c = self.node_cost(bound, child);
-                let (in_tuples, in_pages) = self.output_stats(plan, child);
-                self.transfer(&mut u, bound.site(child), site, in_pages);
-                let cmp = in_tuples * cfg.cpu_secs(cfg.compare_inst);
+                let c = self.node_cost(plan, sites, child);
+                self.transfer(&mut u, sites[child.index()], site, c.pages);
+                let cmp = c.tuples * cfg.cpu_secs(cfg.compare_inst);
                 u.add_cpu(site, cmp);
                 // Copy surviving tuples into output pages.
-                let out_tuples = in_tuples * self.query.selection[rel.index()];
+                let out_tuples = c.tuples * self.query.selection[rel.index()];
                 let mv = out_tuples
                     * cfg.cpu_secs(cfg.move_tuple_instr(self.est.tuple_bytes(RelSet::EMPTY)));
                 u.add_cpu(site, mv);
@@ -268,15 +283,18 @@ impl<'a> CostModel<'a> {
                 // input's I/O unless it dominates.
                 stream = c.stream.max(cmp + mv);
                 u.merge(&c.usage);
+                let rels = RelSet::single(rel).union(c.rels);
+                let tuples = self.est.tuples(rels);
+                (tuples, self.est.pages_of(tuples), rels)
             }
             LogicalOp::Join => {
                 let (ci, co) = (n.children[0].expect("arity"), n.children[1].expect("arity"));
-                let inner = self.node_cost(bound, ci);
-                let outer = self.node_cost(bound, co);
-                let (in_tuples, in_pages) = self.output_stats(plan, ci);
-                let (out_tuples_probe, out_pages_probe) = self.output_stats(plan, co);
-                self.transfer(&mut u, bound.site(ci), site, in_pages);
-                self.transfer(&mut u, bound.site(co), site, out_pages_probe);
+                let inner = self.node_cost(plan, sites, ci);
+                let outer = self.node_cost(plan, sites, co);
+                let (in_tuples, in_pages) = (inner.tuples, inner.pages);
+                let (out_tuples_probe, out_pages_probe) = (outer.tuples, outer.pages);
+                self.transfer(&mut u, sites[ci.index()], site, in_pages);
+                self.transfer(&mut u, sites[co.index()], site, out_pages_probe);
 
                 let tuple_bytes = self.est.tuple_bytes(RelSet::EMPTY);
                 let move_cpu = cfg.cpu_secs(cfg.move_tuple_instr(tuple_bytes));
@@ -286,7 +304,8 @@ impl<'a> CostModel<'a> {
                 // Build + probe CPU.
                 let build_cpu = in_tuples * (hash_cpu + move_cpu);
                 u.add_cpu(site, build_cpu);
-                let res_tuples = self.est.tuples(plan.rel_set(id));
+                let rels = inner.rels.union(outer.rels);
+                let res_tuples = self.est.tuples(rels);
                 let probe_cpu = out_tuples_probe * (hash_cpu + cmp_cpu) + res_tuples * move_cpu;
                 u.add_cpu(site, probe_cpu);
 
@@ -314,42 +333,47 @@ impl<'a> CostModel<'a> {
                 stream = outer.stream.max(probe_cpu) + partition_serial;
                 u.merge(&inner.usage);
                 u.merge(&outer.usage);
+                (res_tuples, self.est.pages_of(res_tuples), rels)
             }
             LogicalOp::Aggregate { groups } => {
                 let child = n.children[0].expect("arity");
-                let c = self.node_cost(bound, child);
-                let (in_tuples, in_pages) = self.output_stats(plan, child);
-                self.transfer(&mut u, bound.site(child), site, in_pages);
+                let c = self.node_cost(plan, sites, child);
+                self.transfer(&mut u, sites[child.index()], site, c.pages);
                 // Hash-based grouping: hash every input tuple, move every
                 // output group tuple.
-                let out_tuples = (groups as f64).min(in_tuples);
-                let agg_cpu = in_tuples * cfg.cpu_secs(cfg.hash_inst)
-                    + out_tuples
-                        * cfg.cpu_secs(cfg.move_tuple_instr(self.est.tuple_bytes(RelSet::EMPTY)));
+                let tuple_bytes = self.est.tuple_bytes(RelSet::EMPTY);
+                let out_tuples = (groups as f64).min(c.tuples);
+                let agg_cpu = c.tuples * cfg.cpu_secs(cfg.hash_inst)
+                    + out_tuples * cfg.cpu_secs(cfg.move_tuple_instr(tuple_bytes));
                 u.add_cpu(site, agg_cpu);
                 // Blocking: the aggregate consumes its whole input before
                 // emitting anything.
                 pre = c.pre + c.stream.max(agg_cpu);
                 stream = 0.0;
                 u.merge(&c.usage);
+                (out_tuples, self.est.pages_of(out_tuples), c.rels)
             }
             LogicalOp::Display => {
                 let child = n.children[0].expect("arity");
-                let c = self.node_cost(bound, child);
-                let (tuples, pages) = self.output_stats(plan, child);
-                self.transfer(&mut u, bound.site(child), site, pages);
-                let disp = tuples * cfg.cpu_secs(cfg.display_inst);
+                let c = self.node_cost(plan, sites, child);
+                self.transfer(&mut u, sites[child.index()], site, c.pages);
+                let disp = c.tuples * cfg.cpu_secs(cfg.display_inst);
                 u.add_cpu(site, disp);
                 pre = c.pre;
                 stream = c.stream.max(disp);
                 u.merge(&c.usage);
+                // Display shows its input unchanged.
+                (c.tuples, c.pages, c.rels)
             }
-        }
+        };
 
         NodeCost {
             usage: u,
             pre,
             stream,
+            tuples,
+            pages,
+            rels,
         }
     }
 }
@@ -358,7 +382,7 @@ impl<'a> CostModel<'a> {
 mod tests {
     use super::*;
     use csqp_catalog::{BufAlloc, JoinEdge, RelId, Relation};
-    use csqp_core::{Annotation, JoinTree};
+    use csqp_core::{bind, Annotation, JoinTree};
 
     fn chain(n: u32) -> QuerySpec {
         let rels = (0..n)
@@ -450,7 +474,7 @@ mod tests {
         cfg.buf_alloc = BufAlloc::Max;
         let model = CostModel::new(&cfg, &cat, &q, SiteId::CLIENT);
         let qs = bind_plan(&qs_plan(&q), &cat);
-        let u = model.usage(&qs);
+        let u = model.price_bound(&qs).usage;
         // Only the two base scans touch the server disk.
         let server_disk = u.disk[1];
         let scan_only = 500.0 * cfg.disk_seq_page_ms * 1e-3;
@@ -468,7 +492,7 @@ mod tests {
         assert_eq!(cfg.buf_alloc, BufAlloc::Min);
         let model = CostModel::new(&cfg, &cat, &q, SiteId::CLIENT);
         let qs = bind_plan(&qs_plan(&q), &cat);
-        let u = model.usage(&qs);
+        let u = model.price_bound(&qs).usage;
         let scan_only = 500.0 * cfg.disk_seq_page_ms * 1e-3;
         assert!(
             u.disk[1] > scan_only * 2.0,
@@ -555,7 +579,7 @@ mod tests {
             Annotation::PrimaryCopy,
         );
         let b = bind_plan(&plan, &cat);
-        let u = model.usage(&b);
+        let u = model.price_bound(&b).usage;
         assert!(u.cpu[1] > 0.0);
         // Selection shrinks the inner: less spill I/O than unselected.
         let q2 = chain(2);
@@ -566,6 +590,47 @@ mod tests {
             Annotation::PrimaryCopy,
         );
         let b2 = bind_plan(&plan2, &cat);
-        assert!(model.usage(&b).disk[1] < model2.usage(&b2).disk[1]);
+        assert!(model.price_bound(&b).usage.disk[1] < model2.price_bound(&b2).usage.disk[1]);
+    }
+
+    /// The output each node carries up the walk equals what recomputing
+    /// it from the node's relation set gives: the raw relation for scans,
+    /// the group count for aggregates, the estimator's size otherwise.
+    #[test]
+    fn carried_outputs_match_recomputation() {
+        let q = chain(4)
+            .with_selection(RelId(0), 0.1)
+            .with_selection(RelId(2), 0.5)
+            .with_aggregate(300);
+        let mut cat = Catalog::new(2);
+        for i in 0..4 {
+            cat.place(RelId(i), SiteId::server(1 + i % 2));
+        }
+        let cfg = SystemConfig::default();
+        let model = CostModel::new(&cfg, &cat, &q, SiteId::CLIENT);
+        let order = [RelId(2), RelId(0), RelId(3), RelId(1)];
+        for tree in [JoinTree::left_deep(&order), JoinTree::balanced(&order)] {
+            let plan = tree.into_plan(&q, Annotation::InnerRel, Annotation::PrimaryCopy);
+            let b = bind_plan(&plan, &cat);
+            for id in plan.postorder() {
+                let c = model.node_cost(&plan, &b.sites, id);
+                let rels = plan.rel_set(id);
+                assert_eq!(c.rels, rels);
+                let (tuples, pages) = match plan.node(id).op {
+                    LogicalOp::Scan { rel } => {
+                        let r = &q.relations[rel.index()];
+                        (r.tuples as f64, r.pages(cfg.page_size) as f64)
+                    }
+                    LogicalOp::Aggregate { groups } => {
+                        let t = (groups as f64).min(model.est.tuples(rels));
+                        (t, (t / (cfg.page_size / 100) as f64).ceil())
+                    }
+                    LogicalOp::Display => continue,
+                    _ => (model.est.tuples(rels), model.est.pages(rels)),
+                };
+                assert_eq!(c.tuples.to_bits(), tuples.to_bits(), "{id:?}");
+                assert_eq!(c.pages.to_bits(), pages.to_bits(), "{id:?}");
+            }
+        }
     }
 }

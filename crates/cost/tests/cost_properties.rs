@@ -7,6 +7,7 @@
 use csqp_catalog::{Catalog, JoinEdge, QuerySpec, RelId, Relation, SiteId, SystemConfig};
 use csqp_core::{bind, is_well_formed, Annotation, BindContext, JoinTree, Plan, Policy};
 use csqp_cost::{CostModel, Objective};
+use csqp_simkernel::rng::SimRng;
 use proptest::prelude::*;
 
 fn chain(n: u32) -> QuerySpec {
@@ -149,5 +150,100 @@ proptest! {
         }
         prop_assert!((vals[0] - vals[1]).abs() < 1e-9);
         prop_assert!((vals[0] - (250 * n as u64) as f64).abs() < 1e-9);
+    }
+}
+
+/// A seeded scenario for the one-walk check: a chain of 2–8 relations
+/// with random selections and an optional aggregate, placed over 1–3
+/// servers with random cache fractions.
+fn seeded_scenario(rng: &mut SimRng) -> (QuerySpec, Catalog) {
+    let n = 2 + u32::try_from(rng.below(7)).unwrap();
+    let mut q = chain(n);
+    for i in 0..n {
+        if rng.chance(0.3) {
+            q = q.with_selection(RelId(i), 0.05 + 0.9 * rng.unit());
+        }
+    }
+    if rng.chance(0.3) {
+        q = q.with_aggregate(1 + rng.below(20_000) as u64);
+    }
+    let servers = 1 + u32::try_from(rng.below(3.min(n as usize))).unwrap();
+    let mut cat = catalog(n, servers, 0.0);
+    for i in 0..n {
+        if rng.chance(0.5) {
+            cat.set_cached_fraction(RelId(i), rng.unit());
+        }
+    }
+    (q, cat)
+}
+
+/// A random join order and shape with hybrid-shipping annotations,
+/// drawn from `rng` and kept well-formed.
+fn rng_plan(query: &QuerySpec, rng: &mut SimRng) -> Plan {
+    let mut order: Vec<RelId> = query.relations.iter().map(|r| r.id).collect();
+    rng.shuffle(&mut order);
+    let tree = if rng.chance(0.5) {
+        JoinTree::left_deep(&order)
+    } else {
+        JoinTree::balanced(&order)
+    };
+    // The query-shipping skeleton points nothing up, so it starts
+    // well-formed and every kept redraw leaves it so.
+    let mut plan = tree.into_plan(query, Annotation::InnerRel, Annotation::PrimaryCopy);
+    for id in plan.postorder() {
+        let old = plan.node(id).ann;
+        plan.node_mut(id).ann = *rng.pick(Policy::HybridShipping.allowed(plan.node(id).op));
+        if !is_well_formed(&plan) {
+            plan.node_mut(id).ann = old;
+        }
+    }
+    plan
+}
+
+/// `price` binds once and walks once; every objective it reports must
+/// equal, bit for bit, what `evaluate_bound` and `evaluate_plan` report
+/// for that objective, and its usage must equal the bound walk's.
+#[test]
+fn one_walk_prices_every_objective_bit_for_bit() {
+    let sys = SystemConfig::default();
+    let mut rng = SimRng::seed_from_u64(0x5eed_c057);
+    for _ in 0..600 {
+        let (q, cat) = seeded_scenario(&mut rng);
+        let mut model = CostModel::new(&sys, &cat, &q, SiteId::CLIENT);
+        if rng.chance(0.3) {
+            model = model.with_disk_load(SiteId::server(1), 0.9 * rng.unit());
+        }
+        let plan = rng_plan(&q, &mut rng);
+        let bound = bind(
+            &plan,
+            BindContext {
+                catalog: &cat,
+                query_site: SiteId::CLIENT,
+            },
+        )
+        .unwrap();
+        let priced = model.price(&plan).unwrap();
+        assert_eq!(priced, model.price_bound(&bound), "{plan}");
+        for objective in [
+            Objective::Communication,
+            Objective::ResponseTime,
+            Objective::TotalCost,
+        ] {
+            let want = model.evaluate_bound(&bound, objective).to_bits();
+            assert_eq!(priced.get(objective).to_bits(), want, "{objective} {plan}");
+            assert_eq!(
+                model.evaluate_plan(&plan, objective).map(f64::to_bits),
+                Some(want),
+                "{objective} {plan}"
+            );
+        }
+        assert_eq!(
+            priced.pages_sent.to_bits(),
+            priced.usage.pages_sent.to_bits()
+        );
+        assert_eq!(
+            priced.total.to_bits(),
+            priced.usage.total_seconds().to_bits()
+        );
     }
 }

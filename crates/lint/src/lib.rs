@@ -472,6 +472,12 @@ pub const ALLOWLIST: &[Allow] = &[
         why: "integration test builds fixture placements per case",
     },
     Allow {
+        path: "tests/search_goldens.rs",
+        rule: RuleKind::CatalogMutation,
+        why: "the pinned search grid builds its fixed fixture catalogs once, \
+              before any planning",
+    },
+    Allow {
         path: "tests/future_work.rs",
         rule: RuleKind::CatalogMutation,
         why: "integration tests sweep cached fractions across scenarios",

@@ -16,7 +16,7 @@ use csqp_catalog::{QuerySpec, RelSet};
 use csqp_core::{Annotation, JoinTree, Plan, Policy};
 use csqp_simkernel::rng::SimRng;
 
-use crate::moves::{applicable_moves, apply_move_verified, MoveKind, MoveSet};
+use crate::moves::{apply_move_verified, Move, MoveKind};
 
 /// Generate a random plan in `policy`'s search space.
 pub fn random_plan(query: &QuerySpec, policy: Policy, rng: &mut SimRng) -> Plan {
@@ -124,22 +124,24 @@ pub fn random_join_tree(query: &QuerySpec, rng: &mut SimRng) -> JoinTree {
     forest.pop().expect("non-empty forest").0
 }
 
-/// Take one uniformly random applicable move, returning a
-/// checker-verified plan (see
-/// [`apply_move_verified`]); `None`
-/// when the move would break well-formedness or nothing applies.
+/// Take one uniformly random move from `moves`, returning a
+/// checker-verified plan (see [`apply_move_verified`]); `None` when the
+/// move would break well-formedness or nothing applies.
+///
+/// `moves` must be `applicable_moves(plan, policy, set)` for the move set
+/// in use; a search keeps that list for its current plan and rebuilds it
+/// only when it moves to a new plan.
 pub fn random_neighbor(
     plan: &Plan,
+    moves: &[Move],
     query: &QuerySpec,
     policy: Policy,
-    set: MoveSet,
     rng: &mut SimRng,
 ) -> Option<(Plan, MoveKind)> {
-    let moves = applicable_moves(plan, policy, set);
     if moves.is_empty() {
         return None;
     }
-    let mv = *rng.pick(&moves);
+    let mv = *rng.pick(moves);
     let candidate = apply_move_verified(plan, mv, query, policy)?;
     Some((candidate, mv.kind))
 }
@@ -147,6 +149,7 @@ pub fn random_neighbor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::moves::{applicable_moves, MoveSet};
     use csqp_catalog::{JoinEdge, RelId, Relation};
     use csqp_core::is_well_formed;
 
@@ -218,9 +221,8 @@ mod tests {
         for policy in Policy::ALL {
             let mut plan = random_plan(&q, policy, &mut rng);
             for _ in 0..100 {
-                if let Some((next, _)) =
-                    random_neighbor(&plan, &q, policy, MoveSet::for_policy(policy), &mut rng)
-                {
+                let moves = applicable_moves(&plan, policy, MoveSet::for_policy(policy));
+                if let Some((next, _)) = random_neighbor(&plan, &moves, &q, policy, &mut rng) {
                     next.validate_structure(&q).unwrap();
                     policy.validate(&next).unwrap();
                     assert!(is_well_formed(&next));

@@ -16,7 +16,7 @@ use csqp_core::{Plan, Policy};
 use csqp_cost::{CostModel, Objective};
 use csqp_simkernel::rng::SimRng;
 
-use crate::moves::MoveSet;
+use crate::moves::{applicable_moves, MoveSet};
 use crate::random::{random_neighbor, random_plan};
 
 /// Search parameters.
@@ -145,17 +145,15 @@ impl<'a> Optimizer<'a> {
     /// The full-overlap response-time model leaves many plans tied; a
     /// small total-cost term breaks those ties towards plans that do
     /// less work (which is also what the simulator rewards).
+    ///
+    /// One bind and one walk price the objective and its tie-break.
     fn eval(&self, plan: &Plan, evals: &mut u64) -> Option<f64> {
         *evals += 1;
-        let primary = self.model.evaluate_plan(plan, self.objective)?;
+        let c = self.model.price(plan)?;
         Some(match self.objective {
-            Objective::Communication => {
-                primary + 1e-2 * self.model.evaluate_plan(plan, Objective::TotalCost)?
-            }
-            Objective::ResponseTime => {
-                primary + 1e-3 * self.model.evaluate_plan(plan, Objective::TotalCost)?
-            }
-            Objective::TotalCost => primary,
+            Objective::Communication => c.pages_sent + 1e-2 * c.total,
+            Objective::ResponseTime => c.response + 1e-3 * c.total,
+            Objective::TotalCost => c.total,
         })
     }
 
@@ -281,8 +279,9 @@ impl<'a> Optimizer<'a> {
         let mut best: Option<(Plan, f64)> = None;
         for i in 0..starts {
             if let Some(reason) = guard.stop_reason() {
-                // Stop between restarts only if nothing usable exists yet;
-                // otherwise the caller still prefers a stop to a stale plan.
+                // Stop between restarts with the token's reason, even when
+                // an earlier restart already found a plan: the caller
+                // prefers a stop to a stale plan.
                 return Err(reason);
             }
             let space = start_spaces[i % start_spaces.len()];
@@ -325,7 +324,8 @@ impl<'a> Optimizer<'a> {
     /// list: a hybrid 10-way plan has dozens of applicable moves, and a
     /// fixed small patience would declare a "local minimum" long before
     /// the neighborhood was sampled (IK90 define a local minimum by the
-    /// neighborhood, not by a fixed number of draws).
+    /// neighborhood, not by a fixed number of draws). The move list is
+    /// built once per current plan and rebuilt only when a move is taken.
     #[allow(clippy::too_many_arguments)]
     fn descend_in(
         &self,
@@ -337,25 +337,21 @@ impl<'a> Optimizer<'a> {
         evals: &mut u64,
         guard: &CancelToken,
     ) -> Result<(Plan, f64), StopReason> {
+        let mut moves = applicable_moves(&plan, space, set);
         let mut stuck = 0;
-        let mut patience = self
-            .config
-            .ii_patience
-            .max(3 * crate::moves::applicable_moves(&plan, space, set).len());
+        let mut patience = self.config.ii_patience.max(3 * moves.len());
         while stuck < patience {
             if let Some(reason) = guard.stop_reason() {
                 return Err(reason);
             }
-            match random_neighbor(&plan, self.model.query(), space, set, rng) {
+            match random_neighbor(&plan, &moves, self.model.query(), space, rng) {
                 Some((cand, _)) => match self.eval(&cand, evals) {
                     Some(c) if c < cost => {
                         plan = cand;
                         cost = c;
                         stuck = 0;
-                        patience = self
-                            .config
-                            .ii_patience
-                            .max(3 * crate::moves::applicable_moves(&plan, space, set).len());
+                        moves = applicable_moves(&plan, space, set);
+                        patience = self.config.ii_patience.max(3 * moves.len());
                     }
                     _ => stuck += 1,
                 },
@@ -392,6 +388,7 @@ impl<'a> Optimizer<'a> {
         let t0 = self.config.sa_t0_factor * start_cost.max(f64::MIN_POSITIVE);
         let mut t = t0;
         let (mut cur, mut cur_cost) = (start.clone(), start_cost);
+        let mut moves = applicable_moves(&cur, self.policy, set);
         let (mut best, mut best_cost) = (start, start_cost);
         let mut stages_without_improvement = 0;
 
@@ -404,7 +401,7 @@ impl<'a> Optimizer<'a> {
                     return Err(reason);
                 }
                 let Some((cand, _)) =
-                    random_neighbor(&cur, self.model.query(), self.policy, set, rng)
+                    random_neighbor(&cur, &moves, self.model.query(), self.policy, rng)
                 else {
                     continue;
                 };
@@ -415,6 +412,7 @@ impl<'a> Optimizer<'a> {
                 if delta <= 0.0 || rng.unit() < (-delta / t).exp() {
                     cur = cand;
                     cur_cost = c;
+                    moves = applicable_moves(&cur, self.policy, set);
                     if cur_cost < best_cost {
                         best = cur.clone();
                         best_cost = cur_cost;

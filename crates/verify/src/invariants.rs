@@ -71,11 +71,10 @@ pub fn check_cost_invariants(
     };
 
     let model = CostModel::new(config, catalog, query, query_site);
-    let usage = model.usage(&bound);
-    out.extend(check_usage(&usage));
+    let cost = model.price_bound(&bound);
+    out.extend(check_usage(&cost.usage));
 
-    let response = model.response_time(&bound);
-    let total = usage.total_seconds();
+    let (response, total) = (cost.response, cost.total);
     if response > total * (1.0 + REL_EPS) {
         out.push(Diagnostic::new(
             DiagCode::ResponseExceedsPhases,
@@ -119,15 +118,14 @@ pub fn check_monotone_against(
     query_site: SiteId,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let base_model = CostModel::new(config, catalog, query, query_site);
-    let scaled_model = CostModel::new(config, catalog, scaled, query_site);
+    let (Some(base_cost), Some(big_cost)) = (
+        CostModel::new(config, catalog, query, query_site).price(plan),
+        CostModel::new(config, catalog, scaled, query_site).price(plan),
+    ) else {
+        return out; // binding failure already reported by the caller
+    };
     for objective in [Objective::Communication, Objective::TotalCost] {
-        let (Some(base), Some(big)) = (
-            base_model.evaluate_plan(plan, objective),
-            scaled_model.evaluate_plan(plan, objective),
-        ) else {
-            continue; // binding failure already reported by the caller
-        };
+        let (base, big) = (base_cost.get(objective), big_cost.get(objective));
         if big < base * (1.0 - REL_EPS) {
             out.push(Diagnostic::new(
                 DiagCode::NonMonotoneCost,

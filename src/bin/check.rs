@@ -75,7 +75,9 @@ use csqp::catalog::{QuerySpec, RelId, SiteId, SystemConfig};
 use csqp::core::{Annotation, JoinTree, NodeId, Plan, Policy};
 use csqp::cost::{CostModel, Objective, ResourceUsage};
 use csqp::json::{obj, Json};
-use csqp::optimizer::{random_neighbor, random_plan, MoveSet, OptConfig, Optimizer};
+use csqp::optimizer::{
+    applicable_moves, random_neighbor, random_plan, MoveSet, OptConfig, Optimizer,
+};
 use csqp::simkernel::rng::SimRng;
 use csqp::simkernel::SimTime;
 use csqp::verify::protocol::ModelChecker;
@@ -277,9 +279,8 @@ fn optimizer_traces(args: &Args) -> usize {
         let mut plan = random_plan(&query, policy, &mut rng);
         let mut steps = 0usize;
         for _ in 0..500 {
-            if let Some((next, _)) =
-                random_neighbor(&plan, &query, policy, MoveSet::for_policy(policy), &mut rng)
-            {
+            let moves = applicable_moves(&plan, policy, MoveSet::for_policy(policy));
+            if let Some((next, _)) = random_neighbor(&plan, &moves, &query, policy, &mut rng) {
                 let report = Checker::new(&query, &catalog, &config, SiteId::CLIENT)
                     .with_policy(policy)
                     .check(&next);
